@@ -37,7 +37,6 @@ from .model import (
 )
 from .numeric import (
     BezoutPair,
-    Rational,
     egcd,
     in_ideal,
     is_prime,
@@ -93,7 +92,6 @@ __all__ = [
     "Prop6Instance",
     "Prop6ScanReport",
     "Prop7Built",
-    "Rational",
     "SearchBudget",
     "SearchResult",
     "StructureReport",

@@ -24,7 +24,7 @@ from .construct import (
     two_term,
 )
 from .model import Decomposition, coprime_shape, from_json, to_json_dict
-from .partition import PartitionSpec, check_partition_theorem
+from .partition import PartitionCheck, PartitionSpec, check_partition_theorem
 from .search import SearchBudget, SearchResult, min_length_search, prop6_discrepancy_scan
 from .verifier import DEFAULT_CAP, CapExceeded, FaithfulnessReport, verify, verify_naive
 
@@ -121,13 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         return _fail(f"bad decomposition JSON: {exc}")
     checker = verify_naive if args.naive else verify
-    try:
-        report = checker(d, cap=args.cap)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    report = checker(d, cap=args.cap)
     if args.format == "text":
         if report.faithful:
             print(f"faithful ({report.method}, {report.combos_examined} combinations)")
@@ -157,33 +151,26 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
     omega = _parse_int_list(args.omega, "--omega") if args.omega else []
     predicted: bool | None = None
-    try:
-        if args.strategy == "two-term":
-            built = two_term(m, n)
-        elif args.strategy == "theorem1":
-            built = theorem1(m, n)
-        elif args.strategy == "theorem2":
-            built = all_units_but_one(m, n, omega=omega, seed=args.seed)
-        elif args.strategy == "prop7":
-            p7 = prop7(m, n)
-            built = p7
-            predicted = p7.predicted_faithful
-        elif args.strategy == "theorem4":
-            if m != 4:
-                return _fail("--strategy theorem4 needs m = 4")
-            built = theorem4(n)
-        elif args.strategy == "partition":
-            return _decompose_partition(args)
-        else:  # pragma: no cover - argparse restricts choices
-            return _fail(f"unknown strategy {args.strategy}")
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.strategy == "two-term":
+        built = two_term(m, n)
+    elif args.strategy == "theorem1":
+        built = theorem1(m, n)
+    elif args.strategy == "theorem2":
+        built = all_units_but_one(m, n, omega=omega, seed=args.seed)
+    elif args.strategy == "prop7":
+        p7 = prop7(m, n)
+        built = p7
+        predicted = p7.predicted_faithful
+    elif args.strategy == "theorem4":
+        if m != 4:
+            return _fail("--strategy theorem4 needs m = 4")
+        built = theorem4(n)
+    elif args.strategy == "partition":
+        return _decompose_partition(args)
+    else:  # pragma: no cover - argparse restricts choices
+        return _fail(f"unknown strategy {args.strategy}")
     d = built.decomposition
-    try:
-        certificate, faithful = _certify(d, args.cap)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    certificate, faithful = _certify(d, args.cap)
     out: dict[str, Any] = {"decomposition": to_json_dict(d)}
     if predicted is not None:
         out["predicted_faithful"] = predicted
@@ -202,18 +189,23 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK if faithful else EXIT_UNFAITHFUL
 
 
+def _check_parts(args: argparse.Namespace) -> tuple[list[int], PartitionCheck, dict[str, Any]]:
+    """Parse --parts, run the partition theorem check for m/n and serialise
+    its S and T sets with the comparison, in payload key order."""
+    parts = _parse_int_list(args.parts, "--parts")
+    check = check_partition_theorem(PartitionSpec(args.m, tuple(parts)), args.n, cap=args.cap)
+    sets = {
+        "s": [_frac_dict(v) for v in sorted(check.s)],
+        "t": [_frac_dict(v) for v in sorted(check.t)],
+        "sets_equal": check.equal,
+    }
+    return parts, check, sets
+
+
 def _decompose_partition(args: argparse.Namespace) -> int:
     if not args.parts:
         return _fail("--strategy partition needs --parts")
-    parts = _parse_int_list(args.parts, "--parts")
-    try:
-        spec = PartitionSpec(args.m, tuple(parts))
-        check = check_partition_theorem(spec, args.n, cap=args.cap)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    _, check, sets = _check_parts(args)
     bd = check.block_decomposition
     out = {
         "decomposition": to_json_dict(bd.combined),
@@ -222,9 +214,7 @@ def _decompose_partition(args: argparse.Namespace) -> int:
             [{"num": str(t.num), "den": str(t.den)} for t in block.terms]
             for block in bd.blocks
         ],
-        "s": [_frac_dict(v) for v in sorted(check.s)],
-        "t": [_frac_dict(v) for v in sorted(check.t)],
-        "sets_equal": check.equal,
+        **sets,
     }
     if args.format == "text":
         print(_render(bd.combined))
@@ -237,23 +227,13 @@ def _decompose_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_partition_check(args: argparse.Namespace) -> int:
-    parts = _parse_int_list(args.parts, "--parts")
-    try:
-        spec = PartitionSpec(args.m, tuple(parts))
-        check = check_partition_theorem(spec, args.n, cap=args.cap)
-    except ValueError as exc:
-        return _fail(str(exc))
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    parts, check, sets = _check_parts(args)
     out = {
         "m": str(args.m),
         "n": str(args.n),
         "parts": [str(p) for p in parts],
         "decomposition": to_json_dict(check.block_decomposition.combined),
-        "s": [_frac_dict(v) for v in sorted(check.s)],
-        "t": [_frac_dict(v) for v in sorted(check.t)],
-        "sets_equal": check.equal,
+        **sets,
         "s_covers_t": check.s_covers_t,
     }
     if args.format == "text":
@@ -322,11 +302,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             return _fail("--kind prop7 needs --m")
         rows = _table_rows_prop7(args.m, args.n_min, args.n_max, args.cap)
         columns = list(_TABLE_COLUMNS) + ["predicted"]
-    try:
-        materialized = list(rows)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    materialized = list(rows)
     if args.format == "json":
         _emit({"columns": columns, "rows": materialized})
         return EXIT_OK
@@ -360,11 +336,8 @@ def _search_dict(result: SearchResult) -> dict[str, Any]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        budget = SearchBudget(args.max_length, args.max_den, args.cap)
-        result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
-    except ValueError as exc:
-        return _fail(str(exc))
+    budget = SearchBudget(args.max_length, args.max_den, args.cap)
+    result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
     if args.format == "text":
         for o in result.outcomes:
             if o.found is not None:
@@ -477,8 +450,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _fail(f"--{name.replace('_', '-')} must be positive")
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         return _fail(str(exc))
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

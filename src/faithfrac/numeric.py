@@ -1,8 +1,7 @@
 """Integer and exact-rational primitives shared by every other module.
 
 All arithmetic is arbitrary precision; nothing here ever rounds.  Rational
-values are stdlib ``fractions.Fraction`` instances, re-exported as
-``Rational`` so callers do not need to care which engine backs them.
+values are stdlib ``fractions.Fraction`` instances.
 """
 
 from __future__ import annotations
@@ -11,10 +10,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "BezoutPair",
     "gcd",
     "egcd",

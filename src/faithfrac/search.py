@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .construct import prop7, prop6_condition
 from .model import Decomposition, decomposition
@@ -189,38 +189,29 @@ class Prop6ScanReport:
     discrepancies: tuple[Prop6Instance, ...]
 
 
-def _prop7_shapes(m: int, n: int) -> Iterator[tuple[Decomposition, int, int, int]]:
-    built = prop7(m, n)
-    d = built.decomposition
-    y2 = d.terms[0].den
-    y = d.terms[2].den // n
-    x = d.terms[2].num
-    yield d, y2, y, x
-
-
 def prop6_discrepancy_scan(
     m_values: Iterable[int],
     n_values: Iterable[int],
-    shapes: Callable[[int, int], Iterator[tuple[Decomposition, int, int, int]]] | None = None,
 ) -> Prop6ScanReport:
     """Compare the arithmetic condition against enumeration over a grid.
 
-    Default shape source is the three-term constructor; any callable mapping
-    (m, n) to (decomposition, y2, y, x) quadruples can be scanned instead.
-    An empty discrepancy list is evidence the condition is exact on the grid.
+    Each (m, n) is built by the three-term constructor prop7.  An empty
+    discrepancy list is evidence the condition is exact on the grid.
     """
-    source = shapes if shapes is not None else _prop7_shapes
     count = 0
     bad: list[Prop6Instance] = []
     for m in m_values:
         for n in n_values:
             if m < 3 or n <= m or gcd(m, n) != 1:
                 continue
-            for d, y2, y, x in source(m, n):
-                condition = prop6_condition(m, n, y2, y, x)
-                verified = verify(d).faithful
-                count += 1
-                inst = Prop6Instance(m, n, y2, y, x, condition, verified)
-                if not inst.agrees:
-                    bad.append(inst)
+            d = prop7(m, n).decomposition
+            y2 = d.terms[0].den
+            y = d.terms[2].den // n
+            x = d.terms[2].num
+            condition = prop6_condition(m, n, y2, y, x)
+            verified = verify(d).faithful
+            count += 1
+            inst = Prop6Instance(m, n, y2, y, x, condition, verified)
+            if not inst.agrees:
+                bad.append(inst)
     return Prop6ScanReport(count, tuple(bad))

@@ -1,14 +1,19 @@
-"""Faithfulness checking by exhaustive enumeration and by congruence elimination.
+"""Faithfulness checking: a brute-force oracle and one congruence lattice walk.
 
 A decomposition m/n = sum a_i/b_i is faithful when no coefficient vector
 0 <= x_i <= a_i makes sum x_i/b_i land in (1/n)Z except the all-zero vector
 (value 0) and any vector whose value equals m/n itself.
 
-Everything here reduces the membership test to integer arithmetic: with
-L = lcm(b_i) and W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly
-when sum x_i * (L / b_i) == 0 (mod W).  The fast path removes the term with
-the largest numerator and solves that congruence for its coefficient instead
-of enumerating it.
+verify_naive enumerates the whole lattice and is the reference.  The fast
+path reduces membership to integer arithmetic: with L = lcm(b_i) and
+W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly when
+sum x_i * (L / b_i) == 0 (mod W).  One walk removes the term with the largest
+numerator and solves that congruence for its coefficient instead of
+enumerating it; the other coefficients are enumerated jointly, or split in
+half and matched through a residue table.  The walk hands every in-ideal
+point and its exact value to a visitor.  It has two consumers: verify keeps
+the colex-minimal point whose value is neither 0 nor m/n, and
+partial_sums_in_ideal collects the values.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd, lcm, prod
-from typing import Iterator
+from math import gcd, isqrt, lcm, prod
+from typing import Callable, Iterator
 
 from .model import Decomposition, validate
 from .numeric import mod_inverse
@@ -61,12 +66,6 @@ def _checked(d: Decomposition) -> None:
     problems = validate(d)
     if problems:
         raise ValueError(f"invalid decomposition: {', '.join(problems)}")
-
-
-def _vector_key(vec: tuple[int, ...]) -> tuple[int, ...]:
-    # Enumeration order: the first coefficient varies fastest, so the
-    # "smallest" violation is the colex-minimal vector.
-    return vec[::-1]
 
 
 def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
@@ -151,20 +150,118 @@ class _Eliminator:
         return range(x0, self.bound + 1, self.step)
 
 
-def _setup(d: Decomposition) -> tuple[int, list[int], list[int], int, int]:
-    """Common fast-path precomputation: (n, bounds, weights, W, k)."""
+def _scan(
+    d: Decomposition,
+    cap: int,
+    mitm_threshold: int,
+    visit: Callable[[list[int], Fraction], None],
+) -> tuple[int, str]:
+    """Walk every in-ideal lattice point of a non-empty decomposition.
+
+    Calls visit(vec, value) once per point.  vec is one list the walk
+    rewrites in place, so a visitor that keeps it must copy it.  Returns
+    (combos_examined, method).  When the remaining terms outnumber
+    mitm_threshold, or their joint lattice alone would break the cap, they
+    are split in half and matched through a residue table.
+    """
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
     dens = [t.den for t in d.terms]
     L = lcm(*dens)
     W = L // gcd(L, n)
-    weights = [(L // b) % W if W > 1 else 0 for b in dens]
+    # A point's value is sum(x_i * shares[i]) / L, exact in integers.
+    shares = [L // b for b in dens]
+    weights = [s % W for s in shares]
     k = max(range(len(bounds)), key=lambda i: (bounds[i], -i))
-    return n, bounds, weights, W, k
+    rest = [i for i in range(len(bounds)) if i != k]
+    rest_bounds = [bounds[i] for i in rest]
+    elim = _Eliminator(weights[k], W, bounds[k])
+    vec = [0] * len(bounds)
+
+    def emit(cands: range) -> int:
+        """Visit one row: vec holds every coefficient but the eliminated one."""
+        base = sum(vec[i] * shares[i] for i in rest)
+        for x_k in cands:
+            v = Fraction(base + x_k * shares[k], L)
+            if n % v.denominator != 0:
+                raise RuntimeError("congruence produced a value outside (1/n)Z")
+            vec[k] = x_k
+            visit(vec, v)
+        return len(cands)
+
+    if len(rest) > mitm_threshold or prod(a + 1 for a in rest_bounds) > cap:
+        return _mitm_scan(bounds, weights, W, rest, elim, cap, vec, emit), "meet_in_middle"
+    combos = 0
+    for digits, s in _iter_assignments(rest_bounds, [weights[i] for i in rest], W):
+        combos += 1
+        cands = elim.candidates(s)
+        if cands:
+            for i, x in zip(rest, digits):
+                vec[i] = x
+            combos += emit(cands)
+        if combos > cap:
+            raise CapExceeded(f"combination evaluations exceeded cap {cap}")
+    return combos, "congruence"
 
 
-def _exact_value(d: Decomposition, vec: tuple[int, ...]) -> Fraction:
-    return sum((Fraction(x, t.den) for x, t in zip(vec, d.terms)), Fraction(0))
+def _mitm_scan(bounds, weights, W, rest, elim, cap, vec, emit) -> int:
+    """Split the remaining terms in half and match residues through a table.
+
+    Solvable pairs need s1 + s2 == 0 (mod g), so the stored half is bucketed
+    by residue mod g and only matching buckets are expanded.  The smaller
+    half is the stored one; both halves must be enumerable within the cap.
+    """
+    rest_bounds = [bounds[i] for i in rest]
+    # Balance by product so each half stays near sqrt(total).
+    half_target = isqrt(prod(a + 1 for a in rest_bounds))
+    acc = 1
+    cut = 0
+    while cut < len(rest) - 1 and acc < half_target:
+        acc *= rest_bounds[cut] + 1
+        cut += 1
+    scan, stored = rest[:cut], rest[cut:]
+    scan_size = prod(bounds[i] + 1 for i in scan)
+    stored_size = prod(bounds[i] + 1 for i in stored)
+    if scan_size < stored_size:
+        scan, stored = stored, scan
+        scan_size, stored_size = stored_size, scan_size
+    if scan_size + stored_size > cap:
+        raise CapExceeded(
+            f"meet-in-the-middle halves {scan_size} + {stored_size} exceed cap {cap}"
+        )
+
+    g = elim.g
+    combos = 0
+    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    for digits, s in _iter_assignments(
+        [bounds[i] for i in stored], [weights[i] for i in stored], W
+    ):
+        combos += 1
+        table.setdefault(s % g, []).append((s, tuple(digits)))
+    for digits, s1 in _iter_assignments(
+        [bounds[i] for i in scan], [weights[i] for i in scan], W
+    ):
+        combos += 1
+        bucket = table.get((g - s1 % g) % g)
+        if not bucket:
+            if combos > cap:
+                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
+            continue
+        for i, x in zip(scan, digits):
+            vec[i] = x
+        for s2, stored_digits in bucket:
+            combos += 1
+            s = s1 + s2
+            if s >= W:
+                s -= W
+            cands = elim.candidates(s)
+            if cands:
+                for i, x in zip(stored, stored_digits):
+                    vec[i] = x
+                combos += emit(cands)
+            if combos > cap:
+                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
+    return combos
 
 
 def verify(
@@ -185,123 +282,22 @@ def verify(
     _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
-    n, bounds, weights, W, k = _setup(d)
     u = d.target
-    rest = [i for i in range(len(bounds)) if i != k]
-    rest_bounds = [bounds[i] for i in rest]
-    remaining = prod(a + 1 for a in rest_bounds)
-    elim = _Eliminator(weights[k], W, bounds[k])
-
     best: Violation | None = None
-    combos = 0
+    best_key: list[int] = []
 
-    def consider(vec: tuple[int, ...]) -> None:
-        nonlocal best
-        v = _exact_value(d, vec)
-        if n % v.denominator != 0:
-            raise RuntimeError("congruence produced a value outside (1/n)Z")
+    def keep_colex_min(vec: list[int], v: Fraction) -> None:
+        # verify_naive varies the first coefficient fastest, so the violation
+        # it stops at is the colex-minimal one: compare reversed vectors.
+        nonlocal best, best_key
         if v == 0 or v == u:
             return
-        if best is None or _vector_key(vec) < _vector_key(best.coefficients):
-            best = Violation(vec, v)
+        key = vec[::-1]
+        if best is None or key < best_key:
+            best, best_key = Violation(tuple(vec), v), key
 
-    if len(rest) <= mitm_threshold and remaining <= cap:
-        method = "congruence"
-        rest_weights = [weights[i] for i in rest]
-
-        def assemble(rest_digits: list[int], x_k: int) -> tuple[int, ...]:
-            vec = [0] * len(bounds)
-            for pos, x in zip(rest, rest_digits):
-                vec[pos] = x
-            vec[k] = x_k
-            return tuple(vec)
-
-        for digits, s in _iter_assignments(rest_bounds, rest_weights, W):
-            combos += 1
-            cands = elim.candidates(s)
-            if cands:
-                snapshot = list(digits)
-                for x_k in cands:
-                    combos += 1
-                    consider(assemble(snapshot, x_k))
-            if combos > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    else:
-        method = "meet_in_middle"
-        combos = _mitm_scan(bounds, weights, W, rest, k, elim, cap, consider)
-
-    if best is None:
-        return FaithfulnessReport(True, None, combos, method)
-    return FaithfulnessReport(False, best, combos, method)
-
-
-def _mitm_scan(bounds, weights, W, rest, k, elim, cap, consider) -> int:
-    """Split the remaining terms in half and match residues through a table.
-
-    Solvable pairs need s1 + s2 == 0 (mod g), so the stored half is bucketed
-    by residue mod g and only matching buckets are expanded.  The smaller
-    half is the stored one; both halves must be enumerable within the cap.
-    """
-    rest_bounds = [bounds[i] for i in rest]
-    total = prod(a + 1 for a in rest_bounds)
-    # Balance by product so each half stays near sqrt(total).
-    half_target = max(1, int(total**0.5))
-    acc = 1
-    cut = 0
-    while cut < len(rest) - 1 and acc < half_target:
-        acc *= rest_bounds[cut] + 1
-        cut += 1
-    scan, stored = rest[:cut], rest[cut:]
-    if prod(bounds[i] + 1 for i in scan) < prod(bounds[i] + 1 for i in stored):
-        scan, stored = stored, scan
-    scan_size = prod(bounds[i] + 1 for i in scan)
-    stored_size = prod(bounds[i] + 1 for i in stored)
-    if scan_size + stored_size > cap:
-        raise CapExceeded(
-            f"meet-in-the-middle halves {scan_size} + {stored_size} exceed cap {cap}"
-        )
-
-    def joined_vec(
-        scan_digits: tuple[int, ...], stored_digits: tuple[int, ...], x_k: int
-    ) -> tuple[int, ...]:
-        vec = [0] * len(bounds)
-        for pos, x in zip(scan, scan_digits):
-            vec[pos] = x
-        for pos, x in zip(stored, stored_digits):
-            vec[pos] = x
-        vec[k] = x_k
-        return tuple(vec)
-
-    combos = 0
-    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    g = elim.g if W > 1 else 1
-    for digits, s in _iter_assignments(
-        [bounds[i] for i in stored], [weights[i] for i in stored], W
-    ):
-        combos += 1
-        table.setdefault(s % g, []).append((s, tuple(digits)))
-    for digits, s1 in _iter_assignments(
-        [bounds[i] for i in scan], [weights[i] for i in scan], W
-    ):
-        combos += 1
-        bucket = table.get((g - s1 % g) % g)
-        if not bucket:
-            if combos > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-            continue
-        scan_snapshot = tuple(digits)
-        for s2, stored_digits in bucket:
-            combos += 1
-            s = s1 + s2
-            if s >= W:
-                s -= W
-            cands = elim.candidates(s)
-            for x_k in cands:
-                combos += 1
-                consider(joined_vec(scan_snapshot, stored_digits, x_k))
-            if combos > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    return combos
+    combos, method = _scan(d, cap, mitm_threshold, keep_colex_min)
+    return FaithfulnessReport(best is None, best, combos, method)
 
 
 def partial_sums_in_ideal(
@@ -311,45 +307,12 @@ def partial_sums_in_ideal(
 ) -> frozenset[Fraction]:
     """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included.
 
-    Uses the same elimination (and the same split strategy on oversized
-    lattices) as verify, so only the in-ideal points are ever materialized.
+    Uses the same walk as verify, so only the in-ideal points are ever
+    materialized.
     """
     _checked(d)
     if not d.terms:
         return frozenset({Fraction(0)})
-    n, bounds, weights, W, k = _setup(d)
-    rest = [i for i in range(len(bounds)) if i != k]
-    rest_bounds = [bounds[i] for i in rest]
-    remaining = prod(a + 1 for a in rest_bounds)
-    elim = _Eliminator(weights[k], W, bounds[k])
     values: set[Fraction] = set()
-    term_values = [Fraction(1, t.den) for t in d.terms]
-
-    if len(rest) <= mitm_threshold and remaining <= cap:
-        combos = 0
-        rest_weights = [weights[i] for i in rest]
-        for digits, s in _iter_assignments(rest_bounds, rest_weights, W):
-            combos += 1
-            cands = elim.candidates(s)
-            if cands:
-                base = sum(
-                    (x * term_values[pos] for pos, x in zip(rest, digits)), Fraction(0)
-                )
-                for x_k in cands:
-                    combos += 1
-                    v = base + x_k * term_values[k]
-                    if n % v.denominator != 0:
-                        raise RuntimeError("congruence produced a value outside (1/n)Z")
-                    values.add(v)
-            if combos > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    else:
-
-        def collect(vec: tuple[int, ...]) -> None:
-            v = _exact_value(d, vec)
-            if n % v.denominator != 0:
-                raise RuntimeError("congruence produced a value outside (1/n)Z")
-            values.add(v)
-
-        _mitm_scan(bounds, weights, W, rest, k, elim, cap, collect)
+    _scan(d, cap, mitm_threshold, lambda _vec, v: values.add(v))
     return frozenset(values)

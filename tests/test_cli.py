@@ -3,9 +3,11 @@
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
+from faithfrac import decomposition, is_prime, to_json
 from faithfrac.cli import main
 
 FOUR_NINTHS = (
@@ -88,6 +90,16 @@ def test_verify_rejects_duplicate_denominators(capsys, monkeypatch):
 
 def test_verify_tiny_cap_exits_three(capsys, monkeypatch):
     code, _, err = run(["verify", "--cap", "2"], capsys, FOUR_NINTHS, monkeypatch)
+    assert code == 3
+    assert "cap" in err
+
+
+def test_verify_lattice_past_float_range_exits_three(capsys, monkeypatch):
+    # (p-1)/p over the first 200 odd primes: a lattice past 1e308 points.
+    primes = [p for p in range(3, 4000) if is_prime(p)][:200]
+    pairs = [(p - 1, p) for p in primes]
+    stdin = to_json(decomposition(sum(Fraction(a, b) for a, b in pairs), pairs))
+    code, _, err = run(["verify"], capsys, stdin, monkeypatch)
     assert code == 3
     assert "cap" in err
 
@@ -228,6 +240,12 @@ def test_table_prop7_prediction_column(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[-1] == cells[-2]  # verified always equals predicted
+
+
+def test_table_prop7_rejected_numerator_is_usage_error(capsys):
+    code, _, err = run(["table", "--kind", "prop7", "--m", "2", "--n-max", "10"], capsys)
+    assert code == 2
+    assert "error:" in err
 
 
 def test_table_empty_range_prints_header_only(capsys):

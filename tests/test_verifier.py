@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from faithfrac import (
     CapExceeded,
     decomposition,
+    is_prime,
     partial_sums_in_ideal,
+    theorem1,
     two_term,
     verify,
     verify_naive,
@@ -111,6 +113,33 @@ def test_split_table_path_agrees_on_examples():
             assert forced.violation.value == slow.violation.value
 
 
+@pytest.mark.parametrize(
+    "d, kwargs, method, combos",
+    [
+        (EXAMPLE_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 10),
+        (BAD_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 12),
+        (BAD_FIVE_SIXTHS, {"mitm_threshold": 0}, "meet_in_middle", 9),
+        (theorem1(7, 3).decomposition, {}, "congruence", 72),
+    ],
+)
+def test_combos_examined_is_pinned_on_both_paths(d, kwargs, method, combos):
+    # search spends its budget in these units and the CLI prints them.
+    report = verify(d, **kwargs)
+    assert report.method == method
+    assert report.combos_examined == combos
+
+
+def test_lattice_past_float_range_hits_the_cap():
+    # (p-1)/p over the first 200 odd primes: a lattice past 1e308 points.
+    primes = [p for p in range(3, 4000) if is_prime(p)][:200]
+    pairs = [(p - 1, p) for p in primes]
+    d = decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
+    with pytest.raises(CapExceeded):
+        verify(d)
+    with pytest.raises(CapExceeded):
+        partial_sums_in_ideal(d)
+
+
 def test_verify_rejects_invalid_decomposition():
     with pytest.raises(ValueError):
         verify(d_of(4, 9, [(1, 4), (1, 4)]))
@@ -178,6 +207,10 @@ def test_three_paths_agree(d):
         assert fast.violation.coefficients == slow.violation.coefficients
         assert forced.violation.coefficients == slow.violation.coefficients
         assert fast.violation.value == slow.violation.value
+    sums = partial_sums_in_ideal(d)
+    assert fast.faithful == (sums <= {0, d.target})
+    if not fast.faithful:
+        assert fast.violation.value in sums
 
 
 @given(small_decompositions())
