@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 from .construct import (
     ConstructionTrace,
+    TermBudgetExceeded,
     all_units_but_one,
     prop7,
     theorem1,
@@ -32,6 +33,11 @@ EXIT_OK = 0
 EXIT_UNFAITHFUL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# Prime terms the theorem2 unit head may take.  Its length grows like
+# exp(exp(m/n)): 11/4 needs 232 terms, while 13/4 and 9/2 need thousands
+# to astronomically many.  At 500 terms the closing denominator has about
+# 3000 digits; near 700 it outgrows 4300-digit decimal strings.
+THEOREM2_MAX_TERMS = 500
 
 
 def _emit(obj: Any) -> None:
@@ -156,7 +162,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     elif args.strategy == "theorem1":
         built = theorem1(m, n)
     elif args.strategy == "theorem2":
-        built = all_units_but_one(m, n, omega=omega, seed=args.seed)
+        built = all_units_but_one(
+            m, n, omega=omega, seed=args.seed, max_terms=THEOREM2_MAX_TERMS
+        )
     elif args.strategy == "prop7":
         p7 = prop7(m, n)
         built = p7
@@ -450,11 +458,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _fail(f"--{name.replace('_', '-')} must be positive")
     try:
         return args.func(args)
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        return _fail(str(exc))
-    except CapExceeded as exc:
+    except (CapExceeded, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .model import Decomposition, coprime_shape, decomposition, scale, validate
 from .numeric import BezoutPair, mod_inverse, next_prime_avoiding
 
 __all__ = [
+    "TermBudgetExceeded",
     "ConstructionTrace",
     "Built",
     "Prop7Built",
@@ -29,6 +30,10 @@ __all__ = [
     "prop7",
     "theorem4",
 ]
+
+
+class TermBudgetExceeded(ValueError):
+    """Raised when a greedy head would need more prime terms than max_terms."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,7 @@ def _greedy_head(
     skipped = 0
     while rem >= 1:
         if max_terms is not None and len(head) >= max_terms:
-            raise ValueError(f"head would need more than {max_terms} prime terms")
+            raise TermBudgetExceeded(f"head would need more than {max_terms} prime terms")
         p = next_prime_avoiding(candidate, forbidden)
         candidate = p + 1
         if skipped < seed:

@@ -9,6 +9,7 @@ refer to these written pairs.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
@@ -172,6 +173,15 @@ def coprime_shape(d: Decomposition) -> bool:
     return True
 
 
+def _too_long() -> ValueError:
+    """The one error for integers past the interpreter's decimal-string limit,
+    whichever way they travel."""
+    return ValueError(
+        f"integer longer than {sys.get_int_max_str_digits()} digits, the "
+        "interpreter's limit for decimal strings (see sys.set_int_max_str_digits)"
+    )
+
+
 def _int_from_json(value: Any) -> int:
     if isinstance(value, bool):
         raise ValueError("expected an integer, got a boolean")
@@ -181,16 +191,22 @@ def _int_from_json(value: Any) -> int:
         try:
             return int(value, 10)
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and sum(c.isdigit() for c in value) > limit:
+                raise _too_long() from None
             raise ValueError(f"not a decimal integer: {value!r}") from None
     raise ValueError(f"expected an integer or decimal string, got {type(value).__name__}")
 
 
 def to_json_dict(d: Decomposition) -> dict[str, Any]:
     """Canonical JSON-ready form; integers become decimal strings."""
-    return {
-        "target": {"num": str(d.target.numerator), "den": str(d.target.denominator)},
-        "terms": [{"num": str(t.num), "den": str(t.den)} for t in d.terms],
-    }
+    try:
+        return {
+            "target": {"num": str(d.target.numerator), "den": str(d.target.denominator)},
+            "terms": [{"num": str(t.num), "den": str(t.den)} for t in d.terms],
+        }
+    except ValueError:  # str() of an integer past the limit; nothing else raises it
+        raise _too_long() from None
 
 
 def from_json_dict(obj: Any) -> Decomposition:
@@ -222,4 +238,10 @@ def to_json(d: Decomposition) -> str:
 
 
 def from_json(text: str) -> Decomposition:
-    return from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # a bare integer past the limit; nothing else raises it
+        raise _too_long() from None
+    return from_json_dict(obj)

@@ -1,4 +1,4 @@
-"""Faithfulness checking: a brute-force oracle and one congruence lattice walk.
+"""Faithfulness checking: a brute-force oracle and one factored lattice walk.
 
 A decomposition m/n = sum a_i/b_i is faithful when no coefficient vector
 0 <= x_i <= a_i makes sum x_i/b_i land in (1/n)Z except the all-zero vector
@@ -7,25 +7,27 @@ A decomposition m/n = sum a_i/b_i is faithful when no coefficient vector
 verify_naive enumerates the whole lattice and is the reference.  The fast
 path reduces membership to integer arithmetic: with L = lcm(b_i) and
 W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly when
-sum x_i * (L / b_i) == 0 (mod W).  One walk removes the term with the largest
-numerator and solves that congruence for its coefficient instead of
-enumerating it; the other coefficients are enumerated jointly, or split in
-half and matched through a residue table.  The walk hands every in-ideal
-point and its exact value to a visitor.  It has two consumers: verify keeps
-the colex-minimal point whose value is neither 0 nor m/n, and
-partial_sums_in_ideal collects the values.
+sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds alone, into pairwise
+coprime parts, each involving only the terms whose weight L / b_i it does
+not divide.  Terms of several parts are enumerated; each part then solves
+its widest coefficient by congruence and enumerates the rest jointly, or
+in two halves matched through a residue table (bucket elimination; with
+one part, a single elimination over W).  The walk hands every in-ideal
+point and its exact value to a visitor: verify keeps the colex-minimal
+point whose value is neither 0 nor m/n, partial_sums_in_ideal the values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, isqrt, lcm, prod
 from typing import Callable, Iterator
 
 from .model import Decomposition, validate
-from .numeric import mod_inverse
+from .numeric import coprime_parts
 
 __all__ = [
     "DEFAULT_CAP",
@@ -95,18 +97,21 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     return FaithfulnessReport(True, None, combos, "naive")
 
 
-def _iter_assignments(bounds: list[int], weights: list[int], W: int) -> Iterator[tuple[list[int], int]]:
+def _iter_assignments(
+    bounds: list[int], weights: list[int], W: int, start: int = 0
+) -> Iterator[tuple[list[int], int]]:
     """Yield (digits, residue) over the mixed-radix lattice.
 
     The digits list is reused in place; callers must copy it on a hit.  The
-    residue is sum(digits[i] * weights[i]) mod W, maintained incrementally.
+    residue is start + sum(digits[i] * weights[i]) mod W, maintained
+    incrementally; start lies in [0, W).
     """
     d = len(bounds)
     if d == 0:
-        yield [], 0
+        yield [], start
         return
     digits = [0] * d
-    prefix = [0] * (d + 1)
+    prefix = [start] * (d + 1)
     while True:
         yield digits, prefix[d]
         i = d - 1
@@ -124,30 +129,52 @@ def _iter_assignments(bounds: list[int], weights: list[int], W: int) -> Iterator
             prefix[j + 1] = prefix[j]
 
 
-class _Eliminator:
-    """Solves w_k * x == -s (mod W) for the eliminated coefficient."""
+def _walk(vec, cap, rest, rest_bounds, rest_weights, cands_of, q, start, row) -> int:
+    """Enumerate the coefficients of rest from residue start (mod q); fill
+    vec and add row(cands, s) wherever cands_of(s) is non-empty."""
+    spent = 0
+    for digits, s in _iter_assignments(rest_bounds, rest_weights, q, start):
+        spent += 1
+        cands = cands_of(s)
+        if cands:
+            for i, x in zip(rest, digits):
+                vec[i] = x
+            spent += row(cands, s)
+        if spent > cap:
+            raise CapExceeded(f"combination evaluations exceeded cap {cap}")
+    return spent
 
-    def __init__(self, w_k: int, W: int, bound: int):
-        self.W = W
-        self.bound = bound
-        self.g = gcd(w_k, W) if W > 1 else 1
-        self.step = W // self.g if W > 1 else 1
-        if self.step > 1:
-            self.inv = mod_inverse((w_k // self.g) % self.step, self.step)
-        else:
-            self.inv = 0
 
-    def candidates(self, s: int) -> range:
-        """All x in [0, bound] solving the congruence, as a range object."""
-        if self.W == 1:
-            return range(0, self.bound + 1)
-        if s % self.g:
-            return range(0)
-        rhs = (self.W - s) % self.W
-        x0 = (rhs // self.g * self.inv) % self.step if self.step > 1 else 0
-        if x0 > self.bound:
-            return range(0)
-        return range(x0, self.bound + 1, self.step)
+def _plan(W: int, weights: list[int], bounds: list[int]):
+    """Split W into coprime parts: (parts, shared terms, private terms per part).
+
+    A term belongs to each part that does not divide its weight.  The last
+    part takes the terms of no part and absorbs the parts with no private
+    term.  W stays whole when its basis (about k**2 gcds for k terms) costs
+    more than the rest lattice it could shrink, or the split is no cheaper.
+    """
+    terms = range(len(bounds))
+    single = [W], [], [list(terms)]
+    rest = prod(map((1).__add__, bounds)) // (max(bounds) + 1)
+    if W == 1 or rest <= len(bounds) ** 2:
+        return single
+    # q divides weight w exactly when q is coprime to W // gcd(w, W), which
+    # is small for most terms, unlike w.
+    cofactors = [W // gcd(w, W) for w in weights]
+    parts = coprime_parts(W, cofactors)
+    owners = [[q for q in parts if gcd(q, c) > 1] for c in cofactors]
+    lonely = [q for q in parts if [q] not in owners]
+    parts = [q for q in parts if q not in lonely]
+    if not parts:
+        return single
+    if lonely:
+        parts[-1] *= prod(lonely)
+        owners = [[q for q in parts if gcd(q, c) > 1] for c in cofactors]
+    shared = [i for i in terms if len(owners[i]) > 1]
+    private = [[i for i in terms if owners[i] == [q]] for q in parts]
+    private[-1] = [i for i in terms if owners[i] in ([], [parts[-1]])]
+    walks = sum(prod(bounds[i] + 1 for i in ts) // (max(bounds[i] for i in ts) + 1) for ts in private)
+    return (parts, shared, private) if prod(bounds[i] + 1 for i in shared) * walks < rest else single
 
 
 def _scan(
@@ -160,9 +187,9 @@ def _scan(
 
     Calls visit(vec, value) once per point.  vec is one list the walk
     rewrites in place, so a visitor that keeps it must copy it.  Returns
-    (combos_examined, method).  When the remaining terms outnumber
-    mitm_threshold, or their joint lattice alone would break the cap, they
-    are split in half and matched through a residue table.
+    (combos_examined, method).  Under each assignment of the shared terms
+    every part but the last lists its solutions; each row of the last
+    part's walk is then multiplied out with those lists and visited.
     """
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
@@ -172,96 +199,135 @@ def _scan(
     # A point's value is sum(x_i * shares[i]) / L, exact in integers.
     shares = [L // b for b in dens]
     weights = [s % W for s in shares]
-    k = max(range(len(bounds)), key=lambda i: (bounds[i], -i))
-    rest = [i for i in range(len(bounds)) if i != k]
-    rest_bounds = [bounds[i] for i in rest]
-    elim = _Eliminator(weights[k], W, bounds[k])
+    parts, shared, private = _plan(W, weights, bounds)
     vec = [0] * len(bounds)
-
-    def emit(cands: range) -> int:
-        """Visit one row: vec holds every coefficient but the eliminated one."""
-        base = sum(vec[i] * shares[i] for i in rest)
-        for x_k in cands:
-            v = Fraction(base + x_k * shares[k], L)
-            if n % v.denominator != 0:
-                raise RuntimeError("congruence produced a value outside (1/n)Z")
-            vec[k] = x_k
-            visit(vec, v)
-        return len(cands)
-
-    if len(rest) > mitm_threshold or prod(a + 1 for a in rest_bounds) > cap:
-        return _mitm_scan(bounds, weights, W, rest, elim, cap, vec, emit), "meet_in_middle"
     combos = 0
-    for digits, s in _iter_assignments(rest_bounds, [weights[i] for i in rest], W):
-        combos += 1
-        cands = elim.candidates(s)
-        if cands:
-            for i, x in zip(rest, digits):
-                vec[i] = x
-            combos += emit(cands)
-        if combos > cap:
-            raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    return combos, "congruence"
+    mitm = False
 
+    def prepare(q: int, ts: list[int]):
+        """Part q's widest term k and solve(start, row), which walks its other
+        terms from residue start and calls row(cands, s) with every x_k in
+        [0, a_k] solving w_k * x_k == -s (mod q).  They are split in half and
+        matched through a residue table when they outnumber mitm_threshold or
+        their lattice alone would break the cap; solvable pairs need
+        s1 + s2 == 0 (mod g), so the stored, smaller half is bucketed mod g."""
+        nonlocal combos, mitm
+        k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
+        rest = [i for i in ts if i != k]
+        rest_bounds = [bounds[i] for i in rest]
+        rest_weights = [weights[i] % q for i in rest]
+        g = gcd(weights[k], q)
+        step = q // g
+        inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
 
-def _mitm_scan(bounds, weights, W, rest, elim, cap, vec, emit) -> int:
-    """Split the remaining terms in half and match residues through a table.
+        def candidates(s: int) -> range:
+            return range(0) if s % g else range(-(s // g) * inv % step, bounds[k] + 1, step)
 
-    Solvable pairs need s1 + s2 == 0 (mod g), so the stored half is bucketed
-    by residue mod g and only matching buckets are expanded.  The smaller
-    half is the stored one; both halves must be enumerable within the cap.
-    """
-    rest_bounds = [bounds[i] for i in rest]
-    # Balance by product so each half stays near sqrt(total).
-    half_target = isqrt(prod(a + 1 for a in rest_bounds))
-    acc = 1
-    cut = 0
-    while cut < len(rest) - 1 and acc < half_target:
-        acc *= rest_bounds[cut] + 1
-        cut += 1
-    scan, stored = rest[:cut], rest[cut:]
-    scan_size = prod(bounds[i] + 1 for i in scan)
-    stored_size = prod(bounds[i] + 1 for i in stored)
-    if scan_size < stored_size:
-        scan, stored = stored, scan
-        scan_size, stored_size = stored_size, scan_size
-    if scan_size + stored_size > cap:
-        raise CapExceeded(
-            f"meet-in-the-middle halves {scan_size} + {stored_size} exceed cap {cap}"
-        )
+        if len(rest) <= mitm_threshold and prod(a + 1 for a in rest_bounds) <= cap:
+            return k, rest, lambda start, row: _walk(
+                vec, cap, rest, rest_bounds, rest_weights, candidates, q, start, row
+            )
+        mitm = True
+        sizes = [a + 1 for a in rest_bounds]
+        # Balance by product so each half stays near sqrt(total).
+        half, acc, cut = isqrt(prod(sizes)), 1, 0
+        while cut < len(rest) - 1 and acc < half:
+            acc *= sizes[cut]
+            cut += 1
+        scan = rest[:cut], rest_bounds[:cut], rest_weights[:cut]
+        stored = rest[cut:], rest_bounds[cut:], rest_weights[cut:]
+        scan_size, stored_size = prod(sizes[:cut]), prod(sizes[cut:])
+        if scan_size < stored_size:
+            scan, stored, scan_size, stored_size = stored, scan, stored_size, scan_size
+        if scan_size + stored_size > cap:
+            raise CapExceeded(
+                f"meet-in-the-middle halves {scan_size} + {stored_size} exceed cap {cap}"
+            )
+        combos += stored_size
+        table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for digits, s in _iter_assignments(stored[1], stored[2], q):
+            table.setdefault(s % g, []).append((s, tuple(digits)))
 
-    g = elim.g
-    combos = 0
-    table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for digits, s in _iter_assignments(
-        [bounds[i] for i in stored], [weights[i] for i in stored], W
-    ):
-        combos += 1
-        table.setdefault(s % g, []).append((s, tuple(digits)))
-    for digits, s1 in _iter_assignments(
-        [bounds[i] for i in scan], [weights[i] for i in scan], W
-    ):
-        combos += 1
-        bucket = table.get((g - s1 % g) % g)
-        if not bucket:
-            if combos > cap:
+        def solve(start: int, row) -> int:
+            def match(bucket, s1: int) -> int:
+                spent = 0
+                for s2, digits in bucket:
+                    spent += 1
+                    cands = candidates(s1 + s2)
+                    if cands:
+                        for i, x in zip(stored[0], digits):
+                            vec[i] = x
+                        spent += row(cands, s1 + s2)
+                return spent
+
+            return _walk(vec, cap, *scan, lambda s1: table.get(-s1 % g), q, start, match)
+
+        return k, rest, solve
+
+    solvers = [prepare(q, ts) for q, ts in zip(parts, private)]
+    k, rest, solve = solvers[-1]
+    walked = shared + rest
+    # The other parts' solutions under the current shared assignment, each as
+    # (coefficients of its slots, their numerator over L).
+    sols: list[list] = []
+    slots: list[list[int]] = []
+
+    def emit(cands: range, _s: int) -> int:
+        """A row of the last part: vec holds the walked coefficients, and
+        each candidate for k completes an in-ideal point under each
+        combination of the other parts' solutions."""
+        points, others = len(cands), [()]
+        if sols:
+            points *= prod(map(len, sols))
+            if points > cap:
                 raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-            continue
-        for i, x in zip(scan, digits):
-            vec[i] = x
-        for s2, stored_digits in bucket:
-            combos += 1
-            s = s1 + s2
-            if s >= W:
-                s -= W
-            cands = elim.candidates(s)
-            if cands:
-                for i, x in zip(stored, stored_digits):
+            others = iproduct(*sols)
+        base = sum(vec[i] * shares[i] for i in walked)
+        for combo in others:
+            b = base
+            for slot, (xs, num) in zip(slots, combo):
+                for i, x in zip(slot, xs):
                     vec[i] = x
-                combos += emit(cands)
-            if combos > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    return combos
+                b += num
+            for x_k in cands:
+                v = Fraction(b + x_k * shares[k], L)
+                if n % v.denominator != 0:
+                    raise RuntimeError("congruence produced a value outside (1/n)Z")
+                vec[k] = x_k
+                visit(vec, v)
+        return points
+
+    if len(parts) == 1:  # no shared term: one walk
+        combos += solve(0, emit)
+    else:
+        sols = [[] for _ in solvers[:-1]]
+        slots = [rest_j + [k_j] for k_j, rest_j, _ in solvers[:-1]]
+
+        def collect(k_j: int, rest_j: list[int], found: list, cands: range, _s: int) -> int:
+            """A row of another part: list its solutions in found."""
+            xs = [vec[i] for i in rest_j]
+            num = sum(x * shares[i] for x, i in zip(xs, rest_j))
+            found.extend(((*xs, x), num + x * shares[k_j]) for x in cands)
+            return len(cands)
+
+        def solve_parts(_always, s: int) -> int:
+            """List the other parts' solutions for the residue s that the
+            shared terms leave, then walk the last part."""
+            spent = 0
+            for q, (k_j, rest_j, solve_j), found in zip(parts, solvers, sols):
+                found.clear()
+                spent += solve_j(s % q, partial(collect, k_j, rest_j, found))
+                if not found:
+                    return spent
+            return spent + solve(s % parts[-1], emit)
+
+        combos += _walk(
+            vec, cap, shared, [bounds[i] for i in shared], [weights[i] for i in shared],
+            lambda _s: True, W, 0, solve_parts,
+        )
+    if combos > cap:
+        raise CapExceeded(f"combination evaluations exceeded cap {cap}")
+    return combos, "meet_in_middle" if mitm else "congruence"
 
 
 def verify(
@@ -269,20 +335,14 @@ def verify(
     cap: int = DEFAULT_CAP,
     mitm_threshold: int = MITM_THRESHOLD,
 ) -> FaithfulnessReport:
-    """Same verdict and violation as verify_naive, without enumerating the
-    largest coefficient range.
-
-    The term with the largest numerator is eliminated: for every assignment
-    of the remaining coefficients the eliminated one is recovered from a
-    linear congruence, whose solutions form an arithmetic progression.  When
-    the remaining terms outnumber mitm_threshold, or their joint lattice
-    alone would break the cap, they are split in half and matched through a
-    residue table instead of enumerated jointly.
-    """
+    """Same verdict and violation as verify_naive, from the factored walk,
+    which visits only in-ideal points.  A part's enumerated terms go through
+    a split residue table when they outnumber mitm_threshold or their
+    lattice alone would break the cap."""
     _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
-    u = d.target
+    u_num, u_den = d.target.numerator, d.target.denominator
     best: Violation | None = None
     best_key: list[int] = []
 
@@ -290,7 +350,7 @@ def verify(
         # verify_naive varies the first coefficient fastest, so the violation
         # it stops at is the colex-minimal one: compare reversed vectors.
         nonlocal best, best_key
-        if v == 0 or v == u:
+        if not v.numerator or (v.numerator == u_num and v.denominator == u_den):
             return
         key = vec[::-1]
         if best is None or key < best_key:
@@ -307,8 +367,7 @@ def partial_sums_in_ideal(
 ) -> frozenset[Fraction]:
     """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included.
 
-    Uses the same walk as verify, so only the in-ideal points are ever
-    materialized.
+    Uses the same walk as verify, which visits only the in-ideal points.
     """
     _checked(d)
     if not d.terms:

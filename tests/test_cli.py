@@ -161,6 +161,29 @@ def test_decompose_theorem2_with_omega_and_seed(capsys):
     assert all(b % 2 for b in dens[:-1])
 
 
+@pytest.mark.parametrize("m, n", [("9", "2"), ("13", "4")])
+def test_decompose_theorem2_head_past_budget_exits_three(capsys, m, n):
+    # Their unit heads need thousands of prime terms or more; without a
+    # term budget these calls never returned.
+    code, out, err = run(["decompose", m, n, "--strategy", "theorem2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "prime terms" in err
+
+
+def test_verify_integer_past_digit_limit_is_usage_error(capsys, monkeypatch):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = '{"target":{"num":"1","den":"' + "9" * 5001 + '"},"terms":[]}'
+        code, out, err = run(["verify"], capsys, text, monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert out == ""
+    assert "integer longer than 4300 digits" in err
+
+
 def test_decompose_prop7_unfaithful_instance(capsys):
     code, out, _ = run(["decompose", "4", "9", "--strategy", "prop7"], capsys)
     assert code == 1

@@ -1,5 +1,6 @@
 """Decomposition data model: validation, scaling, structure checks, JSON."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,3 +175,25 @@ def test_round_trip_random(d):
     assert validate(d) == []
     assert from_json(to_json(d)) == d
     assert from_json_dict(to_json_dict(d)) == d
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default limit on decimal strings, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_integers_past_the_digit_limit_get_one_size_error_both_ways(digit_limit):
+    digits = "9" * (digit_limit + 701)
+    as_string = '{"target":{"num":"1","den":"' + digits + '"},"terms":[]}'
+    as_number = '{"target":{"num":1,"den":' + digits + '},"terms":[]}'
+    message = f"integer longer than {digit_limit} digits"
+    for text in (as_string, as_number):
+        with pytest.raises(ValueError, match=message):
+            from_json(text)
+    huge = 10**5000 + 1
+    with pytest.raises(ValueError, match=message):
+        to_json(Decomposition(Fraction(1, huge), (Term(1, huge),)))

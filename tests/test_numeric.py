@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    coprime_parts,
     egcd,
     in_ideal,
     is_prime,
@@ -172,3 +173,42 @@ def test_rational_reduces_and_rejects_zero_denominator():
     assert rational(5) == 5
     with pytest.raises(ValueError):
         rational(1, 0)
+
+
+@pytest.mark.parametrize(
+    "n,values,expected",
+    [
+        (12, [2], [3, 4]),
+        (360, [4, 5], [5, 8, 9]),
+        (36, [6], [36]),
+        (30, [], [30]),
+        (1, [3], []),
+        (2 * 3 * 5 * 7, [10, 21], [2 * 5, 3 * 7]),
+        (77, [91], [7, 11]),
+    ],
+)
+def test_coprime_parts_examples(n, values, expected):
+    assert coprime_parts(n, values) == expected
+
+
+@given(
+    st.integers(min_value=1, max_value=10**12),
+    st.lists(st.integers(min_value=1, max_value=10**6), max_size=6),
+)
+@settings(**HYP_SETTINGS)
+def test_coprime_parts_split_n_by_the_primes_of_the_values(n, values):
+    parts = coprime_parts(n, values)
+    assert parts == sorted(parts)
+    assert math.prod(parts) == n
+    assert all(f > 1 for f in parts)
+    assert all(math.gcd(f, g) == 1 for i, f in enumerate(parts) for g in parts[i + 1 :])
+    # Each value meets a part in all of its primes or in none: every prime
+    # of f divides v exactly when f divides a high enough power of v.
+    for f in parts:
+        for v in values:
+            assert math.gcd(f, v) == 1 or pow(v, f.bit_length(), f) == 0
+
+
+def test_coprime_parts_rejects_nonpositive_n():
+    with pytest.raises(ValueError):
+        coprime_parts(0, [2])

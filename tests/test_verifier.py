@@ -2,18 +2,25 @@
 
 The three strategies must agree on the verdict, on the reported violation,
 and on the set of in-ideal partial sums, whatever route the size heuristics
-pick.  The naive oracle is the ground truth everything else is held to.
+pick, and whether or not the congruence splits over coprime parts of W.
+The naive oracle is the ground truth everything else is held to.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
     CapExceeded,
+    PartitionSpec,
+    coprime_parts,
+    decompose_partition,
     decomposition,
+    general_coprime,
     is_prime,
     partial_sums_in_ideal,
     theorem1,
@@ -119,7 +126,15 @@ def test_split_table_path_agrees_on_examples():
         (EXAMPLE_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 10),
         (BAD_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 12),
         (BAD_FIVE_SIXTHS, {"mitm_threshold": 0}, "meet_in_middle", 9),
-        (theorem1(7, 3).decomposition, {}, "congruence", 72),
+        (theorem1(7, 3).decomposition, {}, "congruence", 14),
+        # theorem1 lattices of 1e6 to 1e9 points: the walk over W split into
+        # coprime parts solves each (p-1)/p term by congruence, under the two
+        # values of the closing 1/(n*P*y) term that every part shares.
+        (theorem1(203, 41).decomposition, {}, "congruence", 22),
+        (theorem1(79, 16).decomposition, {}, "congruence", 22),
+        (theorem1(221, 45).decomposition, {}, "congruence", 22),
+        (theorem1(93, 19).decomposition, {}, "congruence", 22),
+        (theorem1(147, 37).decomposition, {}, "congruence", 18),
     ],
 )
 def test_combos_examined_is_pinned_on_both_paths(d, kwargs, method, combos):
@@ -213,11 +228,7 @@ def test_three_paths_agree(d):
         assert fast.violation.value in sums
 
 
-@given(small_decompositions())
-@settings(**HYP_SETTINGS)
-def test_partial_sums_match_brute_force(d):
-    from itertools import product
-
+def brute_partial_sums(d):
     n = d.target.denominator
     brute = set()
     ranges = [range(t.num + 1) for t in d.terms]
@@ -225,7 +236,97 @@ def test_partial_sums_match_brute_force(d):
         v = sum((Fraction(x, t.den) for x, t in zip(vec, d.terms)), Fraction(0))
         if (n * v).denominator == 1:
             brute.add(v)
-    assert partial_sums_in_ideal(d) == brute
+    return brute
+
+
+@given(small_decompositions())
+@settings(**HYP_SETTINGS)
+def test_partial_sums_match_brute_force(d):
+    assert partial_sums_in_ideal(d) == brute_partial_sums(d)
+
+
+@st.composite
+def factored_decompositions(draw):
+    """Decompositions whose W = L / gcd(L, n) has two or more coprime parts,
+    whose rest lattice (all but the widest term) is past the verifier's
+    k**2 skip rule, and whose full lattice has at most 20,000 points.
+
+    They come from the coprime builders, from partition blocks, or, twice
+    as often, from a_j/p_j terms over two small primes closed by a Bezout
+    pair; half of them also get a term 1/n, which belongs to no part and
+    makes the decomposition unfaithful.
+    """
+    source = draw(st.sampled_from(["coprime", "partition", "bezout", "bezout"]))
+    if source == "coprime":
+        n = draw(st.integers(min_value=2, max_value=40))
+        policy = draw(st.sampled_from(["unit", "max", "max"]))
+        target = Fraction(draw(st.integers(min_value=1, max_value=(2 if policy == "unit" else 3) * n)), n)
+        omega = draw(st.lists(st.integers(min_value=2, max_value=11), max_size=2))
+        try:
+            d = general_coprime(target.numerator, target.denominator, policy, omega, max_terms=8).decomposition
+        except ValueError:  # an integer target, or a head past max_terms
+            assume(False)
+    elif source == "partition":
+        m = draw(st.integers(min_value=2, max_value=7))
+        n = draw(st.sampled_from([n for n in range(2, 41) if gcd(m, n) == 1]))
+        cuts = draw(st.sets(st.integers(min_value=1, max_value=m - 1)))
+        edges = [0, *sorted(cuts), m]
+        d = decompose_partition(PartitionSpec(m, tuple(b - a for a, b in zip(edges, edges[1:]))), n).combined
+    else:
+        n = draw(st.integers(min_value=2, max_value=8))
+        primes = [p for p in draw(st.permutations([3, 5, 7, 11])) if n % p][:2]
+        P = prod(primes)
+        head = [(draw(st.integers(min_value=1, max_value=p - 1)), p) for p in primes]
+        # z/(n*P) closes the head to a target over n, and x/y + 1/(n*P*y)
+        # writes it: y is the inverse of z mod n*P, so z must be a unit.
+        z0 = -sum(a * n * P // p for a, p in head) % P
+        t0 = draw(st.integers(min_value=0, max_value=n - 1))
+        z = next(z0 + P * (t % n) for t in range(t0, t0 + n) if gcd(z0 + P * (t % n), n) == 1)
+        y = pow(z, -1, n * P)
+        y += n * P if y == 1 else 0
+        pairs = head + [((z * y - 1) // (n * P), y), (1, n * P * y)]
+        d = decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
+    n = d.target.denominator
+    if draw(st.booleans()) and n > 1 and n not in d.denominators:
+        d = decomposition(d.target + Fraction(1, n), [(t.num, t.den) for t in d.terms] + [(1, n)])
+    sizes = [t.num + 1 for t in d.terms]
+    L = lcm(*d.denominators)
+    W = L // gcd(L, d.target.denominator)
+    assume(prod(sizes) <= 20_000 and prod(sizes) // max(sizes) > len(sizes) ** 2)
+    assume(len(coprime_parts(W, [W // gcd(L // b, W) for b in d.denominators])) >= 2)
+    return d
+
+
+@given(factored_decompositions())
+# W has a part that only shared terms involve; the walk folds it into another.
+@example(d_of(1, 3, [(1, 19), (1, 342), (2, 37), (1, 666), (1, 7), (1, 42), (1, 18)]))
+@settings(deadline=None, max_examples=60)
+def test_factored_walk_matches_the_oracle(d):
+    slow = verify_naive(d)
+    brute = brute_partial_sums(d)
+    for kwargs in ({}, {"mitm_threshold": 0}):
+        fast = verify(d, **kwargs)
+        assert fast.faithful == slow.faithful
+        if not slow.faithful:
+            assert fast.violation.coefficients == slow.violation.coefficients
+            assert fast.violation.value == slow.violation.value
+        assert partial_sums_in_ideal(d, **kwargs) == brute
+
+
+# theorem1 outputs for n < 30 whose full lattice has at most 1e5 points.
+SMALL_THEOREM1 = [
+    d
+    for d in (theorem1(m, n).decomposition for n in range(1, 30) for m in range(2 * n, 5 * n) if gcd(m, n) == 1)
+    if prod(t.num + 1 for t in d.terms) <= 10**5
+]
+
+
+@given(st.sampled_from(SMALL_THEOREM1))
+@settings(deadline=None, max_examples=12)
+def test_small_theorem1_outputs_match_the_oracle(d):
+    assert verify_naive(d).faithful
+    assert verify(d).faithful
+    assert verify(d, mitm_threshold=0).faithful
 
 
 @given(st.integers(min_value=3, max_value=400))
