@@ -10,7 +10,6 @@ arbitrary ones exactly, and searches bounded spaces exhaustively.
 from .construct import (
     Built,
     ConstructionTrace,
-    Prop7Built,
     TermBudgetExceeded,
     all_units_but_one,
     from_perfect,
@@ -67,7 +66,6 @@ from .search import (
 )
 from .verifier import (
     DEFAULT_CAP,
-    MITM_THRESHOLD,
     CapExceeded,
     FaithfulnessReport,
     Violation,
@@ -88,12 +86,10 @@ __all__ = [
     "Decomposition",
     "FaithfulnessReport",
     "LengthOutcome",
-    "MITM_THRESHOLD",
     "PartitionCheck",
     "PartitionSpec",
     "Prop6Instance",
     "Prop6ScanReport",
-    "Prop7Built",
     "SearchBudget",
     "SearchResult",
     "StructureReport",

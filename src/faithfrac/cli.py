@@ -33,11 +33,6 @@ EXIT_OK = 0
 EXIT_UNFAITHFUL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-# Prime terms the theorem2 unit head may take.  Its length grows like
-# exp(exp(m/n)): 11/4 needs 232 terms, while 13/4 and 9/2 need thousands
-# to astronomically many.  At 500 terms the closing denominator has about
-# 3000 digits; near 700 it outgrows 4300-digit decimal strings.
-THEOREM2_MAX_TERMS = 500
 
 
 def _emit(obj: Any) -> None:
@@ -156,19 +151,14 @@ def _certify(d: Decomposition, cap: int) -> tuple[dict[str, Any], bool]:
 def cmd_decompose(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
     omega = _parse_int_list(args.omega, "--omega") if args.omega else []
-    predicted: bool | None = None
     if args.strategy == "two-term":
         built = two_term(m, n)
     elif args.strategy == "theorem1":
         built = theorem1(m, n)
     elif args.strategy == "theorem2":
-        built = all_units_but_one(
-            m, n, omega=omega, seed=args.seed, max_terms=THEOREM2_MAX_TERMS
-        )
+        built = all_units_but_one(m, n, omega=omega, seed=args.seed)
     elif args.strategy == "prop7":
-        p7 = prop7(m, n)
-        built = p7
-        predicted = p7.predicted_faithful
+        built = prop7(m, n)
     elif args.strategy == "theorem4":
         if m != 4:
             return _fail("--strategy theorem4 needs m = 4")
@@ -178,6 +168,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         return _fail(f"unknown strategy {args.strategy}")
     d = built.decomposition
+    predicted = built.trace.predicted_faithful
     certificate, faithful = _certify(d, args.cap)
     out: dict[str, Any] = {"decomposition": to_json_dict(d)}
     if predicted is not None:
@@ -292,7 +283,7 @@ def _table_rows_prop7(m: int, n_lo: int, n_hi: int, cap: int):
             "r": str(r),
             "case": built.trace.branch,
             "verified": verified,
-            "predicted": built.predicted_faithful,
+            "predicted": built.trace.predicted_faithful,
         }
 
 

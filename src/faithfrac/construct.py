@@ -20,7 +20,6 @@ __all__ = [
     "TermBudgetExceeded",
     "ConstructionTrace",
     "Built",
-    "Prop7Built",
     "two_term",
     "from_perfect",
     "all_units_but_one",
@@ -36,6 +35,14 @@ class TermBudgetExceeded(ValueError):
     """Raised when a greedy head would need more prime terms than max_terms."""
 
 
+# Prime terms the unit head may take unless the caller says otherwise.  Its
+# length grows like exp(exp(m/n)): 11/4 needs 232 terms, while 13/4 and 9/2
+# need thousands to astronomically many.  At 500 terms the closing
+# denominator has about 3000 digits; near 700 it outgrows 4300-digit decimal
+# strings.  The max head grows only linearly in m/n, so it has no default.
+UNIT_HEAD_MAX_TERMS = 500
+
+
 @dataclass(frozen=True)
 class ConstructionTrace:
     """How a decomposition was assembled, for audit and reproducibility."""
@@ -46,17 +53,12 @@ class ConstructionTrace:
     branch: str | None = None
     applied_scaling: int | None = None
     avoided: tuple[int, ...] = ()
+    predicted_faithful: bool | None = None
 
 
 class Built(NamedTuple):
     decomposition: Decomposition
     trace: ConstructionTrace
-
-
-class Prop7Built(NamedTuple):
-    decomposition: Decomposition
-    trace: ConstructionTrace
-    predicted_faithful: bool
 
 
 def _check_target(m: int, n: int) -> Fraction:
@@ -130,9 +132,8 @@ def _greedy_head(
 
     Unit policy contributes 1/p per prime; max policy contributes (p-1)/p.
     The first `seed` admissible primes are skipped, which is what makes
-    distinct seeds land on distinct decompositions.  Under the unit policy
-    the head length grows roughly like exp(exp(value)), so callers with
-    large targets should either pass a max_terms budget or switch policy.
+    distinct seeds land on distinct decompositions.  Raises
+    TermBudgetExceeded before taking a term past max_terms (None: no bound).
     """
     forbidden = (n, *omega)
     rem = value
@@ -205,7 +206,9 @@ def general_coprime(
     numerator_policy "unit" takes 1/p per prime (many short steps); "max"
     takes (p-1)/p (few long steps, for large targets).  Every denominator is
     kept coprime to n and to every element of omega, so the result always
-    carries the coprime certificate shape.
+    carries the coprime certificate shape.  The head raises
+    TermBudgetExceeded past max_terms prime terms; by default that is
+    UNIT_HEAD_MAX_TERMS under "unit" and no bound under "max".
     """
     if numerator_policy not in ("unit", "max"):
         raise ValueError("numerator_policy must be 'unit' or 'max'")
@@ -213,6 +216,8 @@ def general_coprime(
         raise ValueError("seed must be a nonnegative integer")
     value = _check_target(m, n)
     omega_set = _normalized_omega(omega)
+    if max_terms is None and numerator_policy == "unit":
+        max_terms = UNIT_HEAD_MAX_TERMS
     head, primes, rem = _greedy_head(
         value, n, omega_set, numerator_policy, seed, max_terms
     )
@@ -236,7 +241,10 @@ def all_units_but_one(
     m: int, n: int, omega: Iterable[int] = (), seed: int = 0,
     max_terms: int | None = None,
 ) -> Built:
-    """Unit fractions over greedy primes plus one progression term and closer."""
+    """Unit fractions over greedy primes plus one progression term and closer.
+
+    The head takes at most max_terms primes, UNIT_HEAD_MAX_TERMS by default.
+    """
     return general_coprime(m, n, "unit", omega, seed, max_terms)
 
 
@@ -307,8 +315,9 @@ def prop6_condition(m: int, n: int, y2: int, y: int, x: int) -> bool:
     return all(n != mp * y2 for mp in range(1, m))
 
 
-def prop7(m: int, n: int) -> Prop7Built:
-    """Three-term decomposition of m/n (m >= 3) with a predicted verdict.
+def prop7(m: int, n: int) -> Built:
+    """Three-term decomposition of m/n (m >= 3) with a predicted verdict in
+    its trace's predicted_faithful.
 
     With r = -2n mod m, the branch follows 2n+r mod 2m: the residue m gives
     case 1, the residue 0 gives case 2.  The prediction is exact: the result
@@ -335,8 +344,7 @@ def prop7(m: int, n: int) -> Prop7Built:
     terms = [(1, a_den), (1, a_den * c), (x_num, c * n)]
     d = _settle(decomposition(value, terms))
     predicted = x_num < c and all(n != mp * a_den for mp in range(1, m))
-    trace = ConstructionTrace(branch=branch)
-    return Prop7Built(d, trace, predicted)
+    return Built(d, ConstructionTrace(branch=branch, predicted_faithful=predicted))
 
 
 def theorem4(n: int) -> Built:

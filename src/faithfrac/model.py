@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -94,7 +94,9 @@ def validate(d: Decomposition) -> list[str]:
     dens = d.denominators
     if len(set(dens)) != len(dens):
         problems.append("duplicate denominator")
-    if sum((t.value for t in d.terms), Fraction(0)) != d.target:
+    # sum a_i/b_i == m/n, cleared of denominators over L = lcm(b_i).
+    L = lcm(*dens)
+    if sum(t.num * (L // t.den) for t in d.terms) * d.target.denominator != d.target.numerator * L:
         problems.append("sum mismatch")
     return problems
 

@@ -10,11 +10,15 @@ W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly when
 sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds alone, into pairwise
 coprime parts, each involving only the terms whose weight L / b_i it does
 not divide.  Terms of several parts are enumerated; each part then solves
-its widest coefficient by congruence and enumerates the rest jointly, or
-in two halves matched through a residue table (bucket elimination; with
-one part, a single elimination over W).  The walk hands every in-ideal
-point and its exact value to a visitor: verify keeps the colex-minimal
-point whose value is neither 0 nor m/n, partial_sums_in_ideal the values.
+its widest coefficient x_k by congruence and enumerates the rest.  The
+input picks how: the rest is walked jointly when its lattice fits the cap;
+past the cap it is split in two halves matched through a residue table
+bucketed mod g = gcd(w_k, q) (bucket elimination; with one part, a single
+elimination over W); when g == 1 that table has one bucket and would cost
+more than the walk, so CapExceeded is raised before anything is
+enumerated.  The walk hands every in-ideal point and its exact value to a
+visitor: verify keeps the colex-minimal point whose value is neither 0 nor
+m/n, partial_sums_in_ideal the values.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .numeric import coprime_parts
 
 __all__ = [
     "DEFAULT_CAP",
-    "MITM_THRESHOLD",
     "CapExceeded",
     "Violation",
     "FaithfulnessReport",
@@ -41,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
-MITM_THRESHOLD = 20
 
 
 class CapExceeded(RuntimeError):
@@ -177,12 +179,7 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(bounds[i] + 1 for i in shared) * walks < rest else single
 
 
-def _scan(
-    d: Decomposition,
-    cap: int,
-    mitm_threshold: int,
-    visit: Callable[[list[int], Fraction], None],
-) -> tuple[int, str]:
+def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], None]) -> tuple[int, str]:
     """Walk every in-ideal lattice point of a non-empty decomposition.
 
     Calls visit(vec, value) once per point.  vec is one list the walk
@@ -207,10 +204,13 @@ def _scan(
     def prepare(q: int, ts: list[int]):
         """Part q's widest term k and solve(start, row), which walks its other
         terms from residue start and calls row(cands, s) with every x_k in
-        [0, a_k] solving w_k * x_k == -s (mod q).  They are split in half and
-        matched through a residue table when they outnumber mitm_threshold or
-        their lattice alone would break the cap; solvable pairs need
-        s1 + s2 == 0 (mod g), so the stored, smaller half is bucketed mod g."""
+        [0, a_k] solving w_k * x_k == -s (mod q).  Solvable residues need
+        s == 0 (mod g), g = gcd(w_k, q).  The other terms are walked when
+        their lattice fits the cap.  Past it, they are split in half and
+        matched through a residue table whose stored, smaller half is
+        bucketed mod g; with g == 1 there is one bucket, every pair is
+        tried, and the split would cost more than the walk, so the cap is
+        reported at once."""
         nonlocal combos, mitm
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
@@ -223,14 +223,17 @@ def _scan(
         def candidates(s: int) -> range:
             return range(0) if s % g else range(-(s // g) * inv % step, bounds[k] + 1, step)
 
-        if len(rest) <= mitm_threshold and prod(a + 1 for a in rest_bounds) <= cap:
+        sizes = [a + 1 for a in rest_bounds]
+        walk = prod(sizes)
+        if walk <= cap:
             return k, rest, lambda start, row: _walk(
                 vec, cap, rest, rest_bounds, rest_weights, candidates, q, start, row
             )
+        if g == 1:
+            raise CapExceeded(f"walk of {walk} points exceeds cap {cap}, and a split table would cost more")
         mitm = True
-        sizes = [a + 1 for a in rest_bounds]
-        # Balance by product so each half stays near sqrt(total).
-        half, acc, cut = isqrt(prod(sizes)), 1, 0
+        # Balance by product so each half stays near sqrt(walk).
+        half, acc, cut = isqrt(walk), 1, 0
         while cut < len(rest) - 1 and acc < half:
             acc *= sizes[cut]
             cut += 1
@@ -330,15 +333,12 @@ def _scan(
     return combos, "meet_in_middle" if mitm else "congruence"
 
 
-def verify(
-    d: Decomposition,
-    cap: int = DEFAULT_CAP,
-    mitm_threshold: int = MITM_THRESHOLD,
-) -> FaithfulnessReport:
+def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     """Same verdict and violation as verify_naive, from the factored walk,
-    which visits only in-ideal points.  A part's enumerated terms go through
-    a split residue table when they outnumber mitm_threshold or their
-    lattice alone would break the cap."""
+    which visits only in-ideal points.  A part's enumerated terms are walked
+    when their lattice fits the cap, go through a split residue table when
+    it does not and the eliminated term's weight shares a factor with the
+    part's modulus, and raise CapExceeded at once otherwise."""
     _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
@@ -356,15 +356,11 @@ def verify(
         if best is None or key < best_key:
             best, best_key = Violation(tuple(vec), v), key
 
-    combos, method = _scan(d, cap, mitm_threshold, keep_colex_min)
+    combos, method = _scan(d, cap, keep_colex_min)
     return FaithfulnessReport(best is None, best, combos, method)
 
 
-def partial_sums_in_ideal(
-    d: Decomposition,
-    cap: int = DEFAULT_CAP,
-    mitm_threshold: int = MITM_THRESHOLD,
-) -> frozenset[Fraction]:
+def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
     """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included.
 
     Uses the same walk as verify, which visits only the in-ideal points.
@@ -373,5 +369,5 @@ def partial_sums_in_ideal(
     if not d.terms:
         return frozenset({Fraction(0)})
     values: set[Fraction] = set()
-    _scan(d, cap, mitm_threshold, lambda _vec, v: values.add(v))
+    _scan(d, cap, lambda _vec, v: values.add(v))
     return frozenset(values)

@@ -186,7 +186,7 @@ def test_three_term_prediction_is_exact():
                 continue
             built = prop7(m, n)
             count += 1
-            ok &= verify(built.decomposition).faithful == built.predicted_faithful
+            ok &= verify(built.decomposition).faithful == built.trace.predicted_faithful
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 300.0
     report(ok, "three-term faithfulness prediction matches enumeration", f"{count} instances, {elapsed:.1f}s")

@@ -104,6 +104,17 @@ def test_verify_lattice_past_float_range_exits_three(capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_verify_split_with_one_bucket_exits_three_at_once(capsys, monkeypatch):
+    # (p-1)/p over the primes 3..29: past the cap, and a split table would
+    # have a single bucket, so the verifier refuses before enumerating.
+    pairs = [(p - 1, p) for p in range(3, 30) if is_prime(p)]
+    stdin = to_json(decomposition(sum(Fraction(a, b) for a, b in pairs), pairs))
+    code, out, err = run(["verify"], capsys, stdin, monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
 def test_verify_zero_cap_is_usage_error(capsys, monkeypatch):
     code, _, err = run(["verify", "--cap", "0"], capsys, FOUR_NINTHS, monkeypatch)
     assert code == 2

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    TermBudgetExceeded,
     all_units_but_one,
     coprime_shape,
     from_perfect,
@@ -164,6 +165,16 @@ def test_all_units_term_budget():
         all_units_but_one(9, 5, max_terms=1)
 
 
+@pytest.mark.parametrize("m, n", [(9, 2), (13, 4)])
+def test_unit_head_has_a_default_budget(m, n):
+    # Their unit heads need thousands of prime terms or more; without a
+    # default budget these calls did not return.
+    with pytest.raises(TermBudgetExceeded):
+        all_units_but_one(m, n)
+    with pytest.raises(TermBudgetExceeded):
+        general_coprime(m, n, "unit")
+
+
 def test_seed_changes_output_but_not_faithfulness():
     a = all_units_but_one(9, 5, seed=0).decomposition
     b = all_units_but_one(9, 5, seed=1).decomposition
@@ -260,19 +271,19 @@ def test_prop7_three_sevenths():
     built = prop7(3, 7)
     assert pairs_of(built.decomposition) == [(1, 3), (1, 15), (1, 35)]
     assert built.trace.branch == "case1"
-    assert built.predicted_faithful
+    assert built.trace.predicted_faithful
 
 
 def test_prop7_four_thirteenths():
     built = prop7(4, 13)
     assert pairs_of(built.decomposition) == [(1, 4), (1, 28), (2, 91)]
-    assert built.predicted_faithful
+    assert built.trace.predicted_faithful
 
 
 def test_prop7_four_ninths_predicted_unfaithful():
     built = prop7(4, 9)
     assert pairs_of(built.decomposition) == [(1, 3), (1, 15), (2, 45)]
-    assert not built.predicted_faithful
+    assert not built.trace.predicted_faithful
     assert not verify(built.decomposition).faithful
 
 
@@ -281,7 +292,7 @@ def test_prop7_four_ninths_predicted_unfaithful():
 def test_prop7_prediction_matches_verifier(m, n):
     assume(n > m and gcd(m, n) == 1)
     built = prop7(m, n)
-    assert verify(built.decomposition).faithful == built.predicted_faithful
+    assert verify(built.decomposition).faithful == built.trace.predicted_faithful
 
 
 # ---- 4/n in three terms ----

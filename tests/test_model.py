@@ -48,6 +48,26 @@ def test_validate_flags_duplicates_and_bad_sum():
     assert any("sum" in p for p in problems)
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=10**6)),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda pair: pair[1],
+    ),
+    st.sampled_from([0, 1, -1]),
+    st.integers(min_value=1, max_value=10**7),
+)
+@settings(**HYP_SETTINGS)
+def test_validate_sum_check_matches_fraction_sum(pairs, sign, k):
+    # The integer check over lcm(b_i) must agree with summing Fractions,
+    # also when the target is off by 1/k.
+    exact = sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+    target = exact + Fraction(sign, k)
+    d = decomposition(target, pairs)
+    assert ("sum mismatch" in validate(d)) == (target != exact)
+
+
 def test_validate_empty_terms_only_for_zero_target():
     assert validate(Decomposition(Fraction(0), ())) == []
     assert validate(Decomposition(Fraction(1, 2), ())) != []

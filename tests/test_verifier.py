@@ -1,7 +1,7 @@
 """Faithfulness checking: naive oracle, congruence path, split-table path.
 
-The three strategies must agree on the verdict, on the reported violation,
-and on the set of in-ideal partial sums, whatever route the size heuristics
+The strategies must agree on the verdict, on the reported violation, and on
+the set of in-ideal partial sums, whatever route the input and the cap
 pick, and whether or not the congruence splits over coprime parts of W.
 The naive oracle is the ground truth everything else is held to.
 """
@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    DEFAULT_CAP,
     CapExceeded,
     PartitionSpec,
     coprime_parts,
@@ -109,23 +110,52 @@ def test_fast_violation_matches_naive_exactly():
         assert fast.violation.value == slow.violation.value
 
 
-def test_split_table_path_agrees_on_examples():
-    for d in (EXAMPLE_FOUR_NINTHS, BAD_FOUR_NINTHS, BAD_FIVE_SIXTHS, PERFECT_SIX):
-        forced = verify(d, mitm_threshold=0)
-        assert forced.method == "meet_in_middle"
-        slow = verify_naive(d)
-        assert forced.faithful == slow.faithful
-        if not slow.faithful:
-            assert forced.violation.coefficients == slow.violation.coefficients
-            assert forced.violation.value == slow.violation.value
+def of_pairs(pairs):
+    return decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
+
+
+# Decompositions whose split part eliminates a term whose weight shares a
+# factor g > 1 with the part's modulus, so past the cap the verifier matches
+# two halves through a table bucketed mod g.  Each is checked at a cap one
+# below that part's walk: (pairs, cap, combos_examined).
+SPLIT_TABLE = [
+    # one part: 11/16 (walk 72, g 63) and 13/168 (walk 28, g 4) are
+    # faithful, 163/945 (walk 756, g 27) is not.
+    pytest.param([(3, 567), (6, 9), (2, 189), (5, 1008)], 71, 22, id="11/16"),
+    pytest.param([(6, 81), (3, 1296), (6, 6048)], 27, 21, id="13/168"),
+    pytest.param([(5, 63), (9, 135), (1, 243), (8, 567), (6, 729)], 755, 511, id="163/945"),
+    # two parts, no shared term: the split part starts from residue 0.
+    pytest.param([(2, 72), (6, 1620), (7, 63), (4, 270), (4, 756), (1, 18)], 349, 219, id="55/252"),
+    pytest.param([(3, 432), (7, 14), (5, 24), (4, 18), (1, 12), (7, 240)], 239, 150, id="21/20"),
+    # two parts and a shared term: the split part starts from the residue
+    # each shared assignment leaves it.  9/140 is faithful.
+    pytest.param([(3, 50), (2, 1260), (3, 2520), (8, 7560), (3, 9072), (2, 22680), (1, 32400)], 143, 92, id="9/140"),
+    pytest.param([(2, 7), (6, 81), (7, 216), (3, 270), (3, 3150), (6, 32400)], 195, 179, id="91/225"),
+    pytest.param([(7, 16), (1, 18), (2, 600), (1, 3240), (6, 4536), (2, 8400), (4, 11340)], 139, 134, id="359/720"),
+]
+
+
+@pytest.mark.parametrize("pairs, cap, combos", SPLIT_TABLE)
+def test_split_table_path_agrees_on_examples(pairs, cap, combos):
+    d = of_pairs(pairs)
+    split = verify(d, cap=cap)
+    assert (split.method, split.combos_examined) == ("meet_in_middle", combos)
+    slow = verify_naive(d)
+    assert split.faithful == slow.faithful
+    assert split.violation == slow.violation
+    # With the default cap every part walks, to the same verdict.
+    walked = verify(d)
+    assert walked.method == "congruence"
+    assert walked.violation == slow.violation
 
 
 @pytest.mark.parametrize(
     "d, kwargs, method, combos",
     [
-        (EXAMPLE_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 10),
-        (BAD_FOUR_NINTHS, {"mitm_threshold": 0}, "meet_in_middle", 12),
-        (BAD_FIVE_SIXTHS, {"mitm_threshold": 0}, "meet_in_middle", 9),
+        *[
+            (of_pairs(pairs), {"cap": cap}, "meet_in_middle", combos)
+            for pairs, cap, combos in (case.values for case in SPLIT_TABLE[:3])
+        ],
         (theorem1(7, 3).decomposition, {}, "congruence", 14),
         # theorem1 lattices of 1e6 to 1e9 points: the walk over W split into
         # coprime parts solves each (p-1)/p term by congruence, under the two
@@ -142,6 +172,19 @@ def test_combos_examined_is_pinned_on_both_paths(d, kwargs, method, combos):
     report = verify(d, **kwargs)
     assert report.method == method
     assert report.combos_examined == combos
+
+
+def test_split_with_one_bucket_raises_cap_at_once():
+    # (p-1)/p over the primes 3..29: every point lies in (1/n)Z, the walk
+    # has 29 times fewer points than the 3.2e9 lattice, and the eliminated
+    # term's weight is coprime to W, so a split table would have one bucket
+    # and cost more than the walk.  The cap is reported before enumerating.
+    pairs = [(p - 1, p) for p in range(3, 30) if is_prime(p)]
+    d = of_pairs(pairs)
+    with pytest.raises(CapExceeded):
+        verify(d)
+    with pytest.raises(CapExceeded):
+        partial_sums_in_ideal(d)
 
 
 def test_lattice_past_float_range_hits_the_cap():
@@ -181,10 +224,10 @@ def test_partial_sums_empty_decomposition():
 
 
 def test_partial_sums_split_path_agrees():
-    for d in (EXAMPLE_FOUR_NINTHS, BAD_FIVE_SIXTHS, PERFECT_SIX):
-        direct = partial_sums_in_ideal(d)
-        forced = partial_sums_in_ideal(d, mitm_threshold=0)
-        assert direct == forced
+    for pairs, cap, _ in (case.values for case in SPLIT_TABLE):
+        d = of_pairs(pairs)
+        split = partial_sums_in_ideal(d, cap=cap)
+        assert split == partial_sums_in_ideal(d) == brute_partial_sums(d)
 
 
 @st.composite
@@ -214,13 +257,12 @@ def small_decompositions(draw):
 @given(small_decompositions())
 @settings(**HYP_SETTINGS)
 def test_three_paths_agree(d):
+    # verify_naive, verify and partial_sums_in_ideal.
     slow = verify_naive(d)
     fast = verify(d)
-    forced = verify(d, mitm_threshold=0)
-    assert fast.faithful == slow.faithful == forced.faithful
+    assert fast.faithful == slow.faithful
     if not slow.faithful:
         assert fast.violation.coefficients == slow.violation.coefficients
-        assert forced.violation.coefficients == slow.violation.coefficients
         assert fast.violation.value == slow.violation.value
     sums = partial_sums_in_ideal(d)
     assert fast.faithful == (sums <= {0, d.target})
@@ -304,13 +346,18 @@ def factored_decompositions(draw):
 def test_factored_walk_matches_the_oracle(d):
     slow = verify_naive(d)
     brute = brute_partial_sums(d)
-    for kwargs in ({}, {"mitm_threshold": 0}):
-        fast = verify(d, **kwargs)
+    # Small caps send the parts whose walk no longer fits to the split
+    # table, or end the check with CapExceeded; never to another answer.
+    for cap in (DEFAULT_CAP, 50, 7):
+        try:
+            fast = verify(d, cap=cap)
+            sums = partial_sums_in_ideal(d, cap=cap)
+        except CapExceeded:
+            assert cap < DEFAULT_CAP
+            continue
         assert fast.faithful == slow.faithful
-        if not slow.faithful:
-            assert fast.violation.coefficients == slow.violation.coefficients
-            assert fast.violation.value == slow.violation.value
-        assert partial_sums_in_ideal(d, **kwargs) == brute
+        assert fast.violation == slow.violation
+        assert sums == brute
 
 
 # theorem1 outputs for n < 30 whose full lattice has at most 1e5 points.
@@ -326,7 +373,6 @@ SMALL_THEOREM1 = [
 def test_small_theorem1_outputs_match_the_oracle(d):
     assert verify_naive(d).faithful
     assert verify(d).faithful
-    assert verify(d, mitm_threshold=0).faithful
 
 
 @given(st.integers(min_value=3, max_value=400))
