@@ -119,7 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = sys.stdin.read()
     try:
         d = from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         return _fail(f"bad decomposition JSON: {exc}")
     checker = verify_naive if args.naive else verify
     report = checker(d, cap=args.cap)

@@ -363,15 +363,5 @@ def theorem4(n: int) -> Built:
         base = theorem4(5)
         d = _settle(scale(base.decomposition, 3))
         return Built(d, ConstructionTrace(branch="scaled15", applied_scaling=3))
-    if n % 4 == 1:
-        a_den = (n + 3) // 4
-        half = (n + 1) // 2
-        terms = [(1, a_den), (1, a_den * half), (2, half * n)]
-        branch = "case1"
-    else:
-        a_den = (n + 5) // 4
-        quarter = (n + 1) // 4
-        terms = [(1, a_den), (1, a_den * quarter), (1, quarter * n)]
-        branch = "case2"
-    d = _settle(decomposition(Fraction(4, n), terms))
-    return Built(d, ConstructionTrace(branch=branch))
+    b = prop7(4, n)
+    return Built(b.decomposition, ConstructionTrace(branch=b.trace.branch))

@@ -246,4 +246,6 @@ def from_json(text: str) -> Decomposition:
         raise
     except ValueError:  # a bare integer past the limit; nothing else raises it
         raise _too_long() from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     return from_json_dict(obj)

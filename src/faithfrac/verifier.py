@@ -10,15 +10,11 @@ W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly when
 sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds alone, into pairwise
 coprime parts, each involving only the terms whose weight L / b_i it does
 not divide.  Terms of several parts are enumerated; each part then solves
-its widest coefficient x_k by congruence and enumerates the rest.  The
-input picks how: the rest is walked jointly when its lattice fits the cap;
-past the cap it is split in two halves matched through a residue table
-bucketed mod g = gcd(w_k, q) (bucket elimination; with one part, a single
-elimination over W); when g == 1 that table has one bucket and would cost
-more than the walk, so CapExceeded is raised before anything is
-enumerated.  The walk hands every in-ideal point and its exact value to a
-visitor: verify keeps the colex-minimal point whose value is neither 0 nor
-m/n, partial_sums_in_ideal the values.
+its widest coefficient x_k by congruence and walks the rest jointly.  A
+part whose walk has more points than the cap raises CapExceeded before
+anything is enumerated.  The walk hands every in-ideal point and its exact
+value to a visitor: verify keeps the colex-minimal point whose value is
+neither 0 nor m/n, partial_sums_in_ideal the values.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterator
 
 from .model import Decomposition, validate
@@ -60,6 +56,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class FaithfulnessReport:
+    """A verdict, its colex-minimal violation, and what it cost.
+
+    method is "congruence" from verify and "naive" from verify_naive.
+    combos_examined has one unit on both: enumerated assignments plus the
+    values produced for eliminated coefficients (verify_naive eliminates
+    none, so it counts the vectors it enumerated).
+    """
+
     faithful: bool
     violation: Violation | None
     combos_examined: int
@@ -179,14 +183,14 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(bounds[i] + 1 for i in shared) * walks < rest else single
 
 
-def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], None]) -> tuple[int, str]:
+def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], None]) -> int:
     """Walk every in-ideal lattice point of a non-empty decomposition.
 
     Calls visit(vec, value) once per point.  vec is one list the walk
     rewrites in place, so a visitor that keeps it must copy it.  Returns
-    (combos_examined, method).  Under each assignment of the shared terms
-    every part but the last lists its solutions; each row of the last
-    part's walk is then multiplied out with those lists and visited.
+    combos_examined.  Under each assignment of the shared terms every part
+    but the last lists its solutions; each row of the last part's walk is
+    then multiplied out with those lists and visited.
     """
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
@@ -198,24 +202,20 @@ def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], Non
     weights = [s % W for s in shares]
     parts, shared, private = _plan(W, weights, bounds)
     vec = [0] * len(bounds)
-    combos = 0
-    mitm = False
 
     def prepare(q: int, ts: list[int]):
-        """Part q's widest term k and solve(start, row), which walks its other
-        terms from residue start and calls row(cands, s) with every x_k in
-        [0, a_k] solving w_k * x_k == -s (mod q).  Solvable residues need
-        s == 0 (mod g), g = gcd(w_k, q).  The other terms are walked when
-        their lattice fits the cap.  Past it, they are split in half and
-        matched through a residue table whose stored, smaller half is
-        bucketed mod g; with g == 1 there is one bucket, every pair is
-        tried, and the split would cost more than the walk, so the cap is
-        reported at once."""
-        nonlocal combos, mitm
+        """Part q's widest term k, its other terms, and solve(start, row),
+        which walks those terms from residue start and calls row(cands, s)
+        with every x_k in [0, a_k] solving w_k * x_k == -s (mod q).
+        Solvable residues need s == 0 (mod g), g = gcd(w_k, q).  A walk
+        past the cap is refused before anything is enumerated."""
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
         rest_bounds = [bounds[i] for i in rest]
         rest_weights = [weights[i] % q for i in rest]
+        walk = prod(a + 1 for a in rest_bounds)
+        if walk > cap:
+            raise CapExceeded(f"walk of {walk} points exceeds cap {cap}")
         g = gcd(weights[k], q)
         step = q // g
         inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
@@ -223,49 +223,7 @@ def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], Non
         def candidates(s: int) -> range:
             return range(0) if s % g else range(-(s // g) * inv % step, bounds[k] + 1, step)
 
-        sizes = [a + 1 for a in rest_bounds]
-        walk = prod(sizes)
-        if walk <= cap:
-            return k, rest, lambda start, row: _walk(
-                vec, cap, rest, rest_bounds, rest_weights, candidates, q, start, row
-            )
-        if g == 1:
-            raise CapExceeded(f"walk of {walk} points exceeds cap {cap}, and a split table would cost more")
-        mitm = True
-        # Balance by product so each half stays near sqrt(walk).
-        half, acc, cut = isqrt(walk), 1, 0
-        while cut < len(rest) - 1 and acc < half:
-            acc *= sizes[cut]
-            cut += 1
-        scan = rest[:cut], rest_bounds[:cut], rest_weights[:cut]
-        stored = rest[cut:], rest_bounds[cut:], rest_weights[cut:]
-        scan_size, stored_size = prod(sizes[:cut]), prod(sizes[cut:])
-        if scan_size < stored_size:
-            scan, stored, scan_size, stored_size = stored, scan, stored_size, scan_size
-        if scan_size + stored_size > cap:
-            raise CapExceeded(
-                f"meet-in-the-middle halves {scan_size} + {stored_size} exceed cap {cap}"
-            )
-        combos += stored_size
-        table: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for digits, s in _iter_assignments(stored[1], stored[2], q):
-            table.setdefault(s % g, []).append((s, tuple(digits)))
-
-        def solve(start: int, row) -> int:
-            def match(bucket, s1: int) -> int:
-                spent = 0
-                for s2, digits in bucket:
-                    spent += 1
-                    cands = candidates(s1 + s2)
-                    if cands:
-                        for i, x in zip(stored[0], digits):
-                            vec[i] = x
-                        spent += row(cands, s1 + s2)
-                return spent
-
-            return _walk(vec, cap, *scan, lambda s1: table.get(-s1 % g), q, start, match)
-
-        return k, rest, solve
+        return k, rest, partial(_walk, vec, cap, rest, rest_bounds, rest_weights, candidates, q)
 
     solvers = [prepare(q, ts) for q, ts in zip(parts, private)]
     k, rest, solve = solvers[-1]
@@ -301,44 +259,39 @@ def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], Non
         return points
 
     if len(parts) == 1:  # no shared term: one walk
-        combos += solve(0, emit)
-    else:
-        sols = [[] for _ in solvers[:-1]]
-        slots = [rest_j + [k_j] for k_j, rest_j, _ in solvers[:-1]]
+        return solve(0, emit)
+    sols = [[] for _ in solvers[:-1]]
+    slots = [rest_j + [k_j] for k_j, rest_j, _ in solvers[:-1]]
 
-        def collect(k_j: int, rest_j: list[int], found: list, cands: range, _s: int) -> int:
-            """A row of another part: list its solutions in found."""
-            xs = [vec[i] for i in rest_j]
-            num = sum(x * shares[i] for x, i in zip(xs, rest_j))
-            found.extend(((*xs, x), num + x * shares[k_j]) for x in cands)
-            return len(cands)
+    def collect(k_j: int, rest_j: list[int], found: list, cands: range, _s: int) -> int:
+        """A row of another part: list its solutions in found."""
+        xs = [vec[i] for i in rest_j]
+        num = sum(x * shares[i] for x, i in zip(xs, rest_j))
+        found.extend(((*xs, x), num + x * shares[k_j]) for x in cands)
+        return len(cands)
 
-        def solve_parts(_always, s: int) -> int:
-            """List the other parts' solutions for the residue s that the
-            shared terms leave, then walk the last part."""
-            spent = 0
-            for q, (k_j, rest_j, solve_j), found in zip(parts, solvers, sols):
-                found.clear()
-                spent += solve_j(s % q, partial(collect, k_j, rest_j, found))
-                if not found:
-                    return spent
-            return spent + solve(s % parts[-1], emit)
+    def solve_parts(_always, s: int) -> int:
+        """List the other parts' solutions for the residue s that the
+        shared terms leave, then walk the last part."""
+        spent = 0
+        for q, (k_j, rest_j, solve_j), found in zip(parts, solvers, sols):
+            found.clear()
+            spent += solve_j(s % q, partial(collect, k_j, rest_j, found))
+            if not found:
+                return spent
+        return spent + solve(s % parts[-1], emit)
 
-        combos += _walk(
-            vec, cap, shared, [bounds[i] for i in shared], [weights[i] for i in shared],
-            lambda _s: True, W, 0, solve_parts,
-        )
-    if combos > cap:
-        raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    return combos, "meet_in_middle" if mitm else "congruence"
+    return _walk(
+        vec, cap, shared, [bounds[i] for i in shared], [weights[i] for i in shared],
+        lambda _s: True, W, 0, solve_parts,
+    )
 
 
 def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     """Same verdict and violation as verify_naive, from the factored walk,
-    which visits only in-ideal points.  A part's enumerated terms are walked
-    when their lattice fits the cap, go through a split residue table when
-    it does not and the eliminated term's weight shares a factor with the
-    part's modulus, and raise CapExceeded at once otherwise."""
+    which visits only in-ideal points.  Raises CapExceeded at once when a
+    part's walk has more points than cap, and during the walk when the
+    combinations it examines pass cap."""
     _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
@@ -356,8 +309,8 @@ def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
         if best is None or key < best_key:
             best, best_key = Violation(tuple(vec), v), key
 
-    combos, method = _scan(d, cap, keep_colex_min)
-    return FaithfulnessReport(best is None, best, combos, method)
+    combos = _scan(d, cap, keep_colex_min)
+    return FaithfulnessReport(best is None, best, combos, "congruence")
 
 
 def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:

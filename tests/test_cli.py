@@ -3,9 +3,12 @@
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faithfrac import decomposition, is_prime, to_json
 from faithfrac.cli import main
@@ -78,6 +81,13 @@ def test_verify_rejects_malformed_json(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_verify_deeply_nested_json_is_usage_error(capsys, monkeypatch):
+    code, out, err = run(["verify"], capsys, "[" * 100_000 + "]" * 100_000, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad decomposition JSON: JSON nested too deeply\n"
+
+
 def test_verify_rejects_duplicate_denominators(capsys, monkeypatch):
     bad = (
         '{"target":{"num":"4","den":"9"},'
@@ -104,9 +114,9 @@ def test_verify_lattice_past_float_range_exits_three(capsys, monkeypatch):
     assert "cap" in err
 
 
-def test_verify_split_with_one_bucket_exits_three_at_once(capsys, monkeypatch):
-    # (p-1)/p over the primes 3..29: past the cap, and a split table would
-    # have a single bucket, so the verifier refuses before enumerating.
+def test_verify_walk_past_the_cap_exits_three_at_once(capsys, monkeypatch):
+    # (p-1)/p over the primes 3..29: the walk is past the cap, so the
+    # verifier refuses before enumerating.
     pairs = [(p - 1, p) for p in range(3, 30) if is_prime(p)]
     stdin = to_json(decomposition(sum(Fraction(a, b) for a, b in pairs), pairs))
     code, out, err = run(["verify"], capsys, stdin, monkeypatch)
@@ -349,3 +359,60 @@ def test_hunt_malformed_range_is_usage_error(capsys):
     code, _, err = run(["hunt", "--m", "abc", "--n-max", "40"], capsys)
     assert code == 2
     assert "range" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["target", "terms", "num", "den", ""]), inner, max_size=4),
+    max_leaves=20,
+)
+LONG_DIGITS = "9" * 4301
+BARE_LONG = "BARE-LONG-INTEGER"  # stands for the digits written as a JSON number
+BAD_FIELDS = {
+    "zero": st.just("0"),
+    "negative": st.integers(max_value=-1).map(str),
+    "bool": st.booleans(),
+    "float": st.floats(),
+    "long": st.just(LONG_DIGITS),
+    "bare-long": st.just(BARE_LONG),
+}
+
+
+@st.composite
+def mutated_decompositions(draw):
+    """The JSON of a valid decomposition with one or two fields broken."""
+    dens = draw(st.lists(st.integers(min_value=2, max_value=60), min_size=1, max_size=5, unique=True))
+    pairs = [(draw(st.integers(min_value=1, max_value=b - 1)), b) for b in dens]
+    obj = json.loads(to_json(decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        kind = draw(st.sampled_from(["missing key", "duplicate denominator", *BAD_FIELDS]))
+        if kind == "missing key" and draw(st.booleans()):
+            del obj[draw(st.sampled_from(sorted(obj)))]
+            break
+        where = draw(st.sampled_from([obj["target"], *obj["terms"]]))
+        key = draw(st.sampled_from(["num", "den"]))
+        if kind == "missing key":
+            where.pop(key, None)
+        elif kind == "duplicate denominator":
+            where["den"] = obj["terms"][0].get("den")
+        else:
+            where[key] = draw(BAD_FIELDS[kind])
+    return json.dumps(obj).replace(f'"{BARE_LONG}"', LONG_DIGITS)
+
+
+@given(st.one_of(JSON_VALUES.map(json.dumps), mutated_decompositions()))
+@example("[" * 100_000 + "]" * 100_000)
+@settings(deadline=None, max_examples=300)
+def test_verify_any_json_ends_with_an_exit_code(text):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    sys_stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["verify", "--cap", "10000"])
+    finally:
+        sys.stdin = sys_stdin
+        sys.set_int_max_str_digits(old)
+    assert code in (0, 1, 2, 3)

@@ -172,6 +172,11 @@ def test_from_json_dict_rejects_malformed(obj):
         from_json_dict(obj)
 
 
+def test_from_json_refuses_deep_nesting_with_a_value_error():
+    with pytest.raises(ValueError, match="JSON nested too deeply"):
+        from_json("[" * 100_000 + "]" * 100_000)
+
+
 @st.composite
 def decompositions(draw):
     """Structurally valid decompositions with small random terms."""

@@ -1,4 +1,4 @@
-"""Faithfulness checking: naive oracle, congruence path, split-table path.
+"""Faithfulness checking: naive oracle and the factored congruence walk.
 
 The strategies must agree on the verdict, on the reported violation, and on
 the set of in-ideal partial sums, whatever route the input and the cap
@@ -114,71 +114,61 @@ def of_pairs(pairs):
     return decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
 
 
-# Decompositions whose split part eliminates a term whose weight shares a
-# factor g > 1 with the part's modulus, so past the cap the verifier matches
-# two halves through a table bucketed mod g.  Each is checked at a cap one
-# below that part's walk: (pairs, cap, combos_examined).
+# Decompositions of one or two coprime parts: (pairs, walk), where walk is
+# the size of a part's rest lattice (its terms but the eliminated one), the
+# first that a cap of walk - 1 refuses.  In the last three a shared term
+# makes the last part start from a non-zero residue.
 SPLIT_TABLE = [
-    # one part: 11/16 (walk 72, g 63) and 13/168 (walk 28, g 4) are
-    # faithful, 163/945 (walk 756, g 27) is not.
-    pytest.param([(3, 567), (6, 9), (2, 189), (5, 1008)], 71, 22, id="11/16"),
-    pytest.param([(6, 81), (3, 1296), (6, 6048)], 27, 21, id="13/168"),
-    pytest.param([(5, 63), (9, 135), (1, 243), (8, 567), (6, 729)], 755, 511, id="163/945"),
-    # two parts, no shared term: the split part starts from residue 0.
-    pytest.param([(2, 72), (6, 1620), (7, 63), (4, 270), (4, 756), (1, 18)], 349, 219, id="55/252"),
-    pytest.param([(3, 432), (7, 14), (5, 24), (4, 18), (1, 12), (7, 240)], 239, 150, id="21/20"),
-    # two parts and a shared term: the split part starts from the residue
+    # one part: 11/16 and 13/168 are faithful, 163/945 is not.
+    pytest.param([(3, 567), (6, 9), (2, 189), (5, 1008)], 72, id="11/16"),
+    pytest.param([(6, 81), (3, 1296), (6, 6048)], 28, id="13/168"),
+    pytest.param([(5, 63), (9, 135), (1, 243), (8, 567), (6, 729)], 756, id="163/945"),
+    # two parts, no shared term: each part starts from residue 0.
+    pytest.param([(2, 72), (6, 1620), (7, 63), (4, 270), (4, 756), (1, 18)], 350, id="55/252"),
+    pytest.param([(3, 432), (7, 14), (5, 24), (4, 18), (1, 12), (7, 240)], 240, id="21/20"),
+    # two parts and a shared term: the last part starts from the residue
     # each shared assignment leaves it.  9/140 is faithful.
-    pytest.param([(3, 50), (2, 1260), (3, 2520), (8, 7560), (3, 9072), (2, 22680), (1, 32400)], 143, 92, id="9/140"),
-    pytest.param([(2, 7), (6, 81), (7, 216), (3, 270), (3, 3150), (6, 32400)], 195, 179, id="91/225"),
-    pytest.param([(7, 16), (1, 18), (2, 600), (1, 3240), (6, 4536), (2, 8400), (4, 11340)], 139, 134, id="359/720"),
+    pytest.param([(3, 50), (2, 1260), (3, 2520), (8, 7560), (3, 9072), (2, 22680), (1, 32400)], 144, id="9/140"),
+    pytest.param([(2, 7), (6, 81), (7, 216), (3, 270), (3, 3150), (6, 32400)], 196, id="91/225"),
+    pytest.param([(7, 16), (1, 18), (2, 600), (1, 3240), (6, 4536), (2, 8400), (4, 11340)], 140, id="359/720"),
 ]
 
 
-@pytest.mark.parametrize("pairs, cap, combos", SPLIT_TABLE)
-def test_split_table_path_agrees_on_examples(pairs, cap, combos):
+@pytest.mark.parametrize("pairs, walk", SPLIT_TABLE)
+def test_split_table_path_agrees_on_examples(pairs, walk):
     d = of_pairs(pairs)
-    split = verify(d, cap=cap)
-    assert (split.method, split.combos_examined) == ("meet_in_middle", combos)
+    # One point short of the walk: refused before anything is enumerated.
+    with pytest.raises(CapExceeded, match=f"walk of {walk} points exceeds cap {walk - 1}"):
+        verify(d, cap=walk - 1)
+    fast = verify(d)
     slow = verify_naive(d)
-    assert split.faithful == slow.faithful
-    assert split.violation == slow.violation
-    # With the default cap every part walks, to the same verdict.
-    walked = verify(d)
-    assert walked.method == "congruence"
-    assert walked.violation == slow.violation
+    assert fast.method == "congruence"
+    assert fast.faithful == slow.faithful
+    assert fast.violation == slow.violation
+    assert partial_sums_in_ideal(d) == brute_partial_sums(d)
+
+
+# theorem1(7, 3), then theorem1 lattices of 1e6 to 1e9 points: the walk over
+# W split into coprime parts solves each (p-1)/p term by congruence, under
+# the two values of the closing 1/(n*P*y) term that every part shares.
+PINNED = [(7, 3, 14), (203, 41, 22), (79, 16, 22), (221, 45, 22), (93, 19, 22), (147, 37, 18)]
 
 
 @pytest.mark.parametrize(
-    "d, kwargs, method, combos",
-    [
-        *[
-            (of_pairs(pairs), {"cap": cap}, "meet_in_middle", combos)
-            for pairs, cap, combos in (case.values for case in SPLIT_TABLE[:3])
-        ],
-        (theorem1(7, 3).decomposition, {}, "congruence", 14),
-        # theorem1 lattices of 1e6 to 1e9 points: the walk over W split into
-        # coprime parts solves each (p-1)/p term by congruence, under the two
-        # values of the closing 1/(n*P*y) term that every part shares.
-        (theorem1(203, 41).decomposition, {}, "congruence", 22),
-        (theorem1(79, 16).decomposition, {}, "congruence", 22),
-        (theorem1(221, 45).decomposition, {}, "congruence", 22),
-        (theorem1(93, 19).decomposition, {}, "congruence", 22),
-        (theorem1(147, 37).decomposition, {}, "congruence", 18),
-    ],
+    "m, n, combos",
+    [pytest.param(*row, id=f"d{i}-kwargs{i}-congruence-{row[2]}") for i, row in enumerate(PINNED, start=3)],
 )
-def test_combos_examined_is_pinned_on_both_paths(d, kwargs, method, combos):
+def test_combos_examined_is_pinned_on_both_paths(m, n, combos):
     # search spends its budget in these units and the CLI prints them.
-    report = verify(d, **kwargs)
-    assert report.method == method
+    report = verify(theorem1(m, n).decomposition)
+    assert report.method == "congruence"
     assert report.combos_examined == combos
 
 
-def test_split_with_one_bucket_raises_cap_at_once():
-    # (p-1)/p over the primes 3..29: every point lies in (1/n)Z, the walk
-    # has 29 times fewer points than the 3.2e9 lattice, and the eliminated
-    # term's weight is coprime to W, so a split table would have one bucket
-    # and cost more than the walk.  The cap is reported before enumerating.
+def test_walk_past_the_cap_raises_at_once():
+    # (p-1)/p over the primes 3..29: every point lies in (1/n)Z and the walk
+    # has 29 times fewer points than the 3.2e9 lattice, still past the cap,
+    # which is reported before enumerating.
     pairs = [(p - 1, p) for p in range(3, 30) if is_prime(p)]
     d = of_pairs(pairs)
     with pytest.raises(CapExceeded):
@@ -224,10 +214,9 @@ def test_partial_sums_empty_decomposition():
 
 
 def test_partial_sums_split_path_agrees():
-    for pairs, cap, _ in (case.values for case in SPLIT_TABLE):
-        d = of_pairs(pairs)
-        split = partial_sums_in_ideal(d, cap=cap)
-        assert split == partial_sums_in_ideal(d) == brute_partial_sums(d)
+    for pairs, walk in (case.values for case in SPLIT_TABLE):
+        with pytest.raises(CapExceeded):
+            partial_sums_in_ideal(of_pairs(pairs), cap=walk - 1)
 
 
 @st.composite
@@ -346,8 +335,7 @@ def factored_decompositions(draw):
 def test_factored_walk_matches_the_oracle(d):
     slow = verify_naive(d)
     brute = brute_partial_sums(d)
-    # Small caps send the parts whose walk no longer fits to the split
-    # table, or end the check with CapExceeded; never to another answer.
+    # Small caps end the check with CapExceeded, never with another answer.
     for cap in (DEFAULT_CAP, 50, 7):
         try:
             fast = verify(d, cap=cap)
