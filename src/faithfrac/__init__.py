@@ -38,13 +38,9 @@ from .model import (
 from .numeric import (
     BezoutPair,
     coprime_parts,
-    egcd,
-    in_ideal,
     is_prime,
     mod_inverse,
     next_prime_avoiding,
-    primes_avoiding,
-    rational,
 )
 from .partition import (
     BlockDecomposition,
@@ -103,23 +99,19 @@ __all__ = [
     "coprime_shape",
     "decompose_partition",
     "decomposition",
-    "egcd",
     "from_json",
     "from_json_dict",
     "from_perfect",
     "general_coprime",
-    "in_ideal",
     "is_prime",
     "min_length_search",
     "mod_inverse",
     "necessary_conditions",
     "next_prime_avoiding",
     "partial_sums_in_ideal",
-    "primes_avoiding",
     "prop6_condition",
     "prop6_discrepancy_scan",
     "prop7",
-    "rational",
     "s_set",
     "scale",
     "t_set",

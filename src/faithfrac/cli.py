@@ -148,15 +148,22 @@ def _certify(d: Decomposition, cap: int) -> tuple[dict[str, Any], bool]:
     return cert, report.faithful
 
 
+# The optional decompose flags each strategy reads; the others reject them.
+_STRATEGY_FLAGS = {"theorem2": ("omega", "seed"), "partition": ("parts",)}
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
-    omega = _parse_int_list(args.omega, "--omega") if args.omega else []
+    for flag in ("omega", "seed", "parts"):
+        if getattr(args, flag) is not None and flag not in _STRATEGY_FLAGS.get(args.strategy, ()):
+            return _fail(f"--{flag} does not apply to --strategy {args.strategy}")
     if args.strategy == "two-term":
         built = two_term(m, n)
     elif args.strategy == "theorem1":
         built = theorem1(m, n)
     elif args.strategy == "theorem2":
-        built = all_units_but_one(m, n, omega=omega, seed=args.seed)
+        omega = _parse_int_list(args.omega, "--omega") if args.omega else []
+        built = all_units_but_one(m, n, omega=omega, seed=args.seed or 0)
     elif args.strategy == "prop7":
         built = prop7(m, n)
     elif args.strategy == "theorem4":
@@ -288,17 +295,12 @@ def _table_rows_prop7(m: int, n_lo: int, n_hi: int, cap: int):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.n_min > args.n_max:
-        rows = iter(())
-        columns = list(_TABLE_COLUMNS)
-        if args.kind == "prop7":
-            columns.append("predicted")
-    elif args.kind == "four-over-n":
+    if args.kind == "four-over-n":
         rows = _table_rows_four_over_n(args.n_min, args.n_max, args.cap)
         columns = list(_TABLE_COLUMNS)
     else:
-        if args.m is None:
-            return _fail("--kind prop7 needs --m")
+        if args.m is None or args.m < 3:
+            return _fail("--kind prop7 needs --m >= 3")
         rows = _table_rows_prop7(args.m, args.n_min, args.n_max, args.cap)
         columns = list(_TABLE_COLUMNS) + ["predicted"]
     materialized = list(rows)
@@ -397,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["two-term", "theorem1", "theorem2", "prop7", "theorem4", "partition"],
     )
-    p_dec.add_argument("--omega", help="comma-separated integers the denominators must avoid")
-    p_dec.add_argument("--parts", help="comma-separated partition of m")
-    p_dec.add_argument("--seed", type=int, default=0, help="skip this many admissible primes")
+    p_dec.add_argument("--omega", help="theorem2: comma-separated integers the denominators must avoid")
+    p_dec.add_argument("--parts", help="partition: comma-separated partition of m")
+    p_dec.add_argument("--seed", type=int, help="theorem2: skip this many admissible primes (default 0)")
     p_dec.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p_dec.add_argument("--trace", action="store_true", help="include construction trace")
     p_dec.add_argument("--format", choices=["json", "text"], default="json")

@@ -39,7 +39,9 @@ class TermBudgetExceeded(ValueError):
 # length grows like exp(exp(m/n)): 11/4 needs 232 terms, while 13/4 and 9/2
 # need thousands to astronomically many.  At 500 terms the closing
 # denominator has about 3000 digits; near 700 it outgrows 4300-digit decimal
-# strings.  The max head grows only linearly in m/n, so it has no default.
+# strings.  The max head of general_coprime grows only linearly in m/n, so it
+# has no default; theorem1's max head of exactly floor(m/n) primes is held to
+# this bound too, since its output past it could not be printed.
 UNIT_HEAD_MAX_TERMS = 500
 
 
@@ -95,12 +97,8 @@ def two_term(m: int, n: int) -> Built:
         raise ValueError("two_term needs a proper fraction m/n < 1")
     if m == 1:
         raise ValueError("a unit fraction has no two-term split (x would be 0)")
-    y = mod_inverse(m, n)
-    x = (y * m - 1) // n
-    if not 1 <= x < y:
-        raise RuntimeError("Bezout witness out of range")
-    d = _settle(decomposition(value, [(x, y), (1, n * y)]))
-    return Built(d, ConstructionTrace(bezout=BezoutPair(x, y)))
+    tail, pair, _ = _progression_tail(value, n, 1, frozenset(), 0)
+    return Built(_settle(decomposition(value, tail)), ConstructionTrace(bezout=pair))
 
 
 def from_perfect(p: int) -> Built:
@@ -127,8 +125,10 @@ def _greedy_head(
     policy: str,
     seed: int,
     max_terms: int | None,
+    candidate: int = 2,
 ) -> tuple[list[tuple[int, int]], list[int], Fraction]:
-    """Pick admissible primes until the remainder falls below 1.
+    """Pick admissible primes from `candidate` up until the remainder falls
+    below 1.
 
     Unit policy contributes 1/p per prime; max policy contributes (p-1)/p.
     The first `seed` admissible primes are skipped, which is what makes
@@ -139,7 +139,6 @@ def _greedy_head(
     rem = value
     head: list[tuple[int, int]] = []
     primes: list[int] = []
-    candidate = 2
     skipped = 0
     while rem >= 1:
         if max_terms is not None and len(head) >= max_terms:
@@ -162,11 +161,12 @@ def _progression_tail(
     primes_product: int,
     omega: frozenset[int],
     a0_start: int,
-) -> tuple[int, int, BezoutPair, int]:
+) -> tuple[list[tuple[int, int]], BezoutPair, int]:
     """Turn the remainder z/(n*prod) into x/b + 1/(n*prod*b).
 
     b walks the progression y0 + a0*(n*prod) until it is coprime to omega;
-    it is automatically coprime to n and the primes already used.
+    it is automatically coprime to n and the primes already used.  Returns
+    the two closing terms, the Bezout pair (x0, y0) and the steps a0 taken.
     """
     nb = n * primes_product
     scaled = rem * nb
@@ -189,7 +189,14 @@ def _progression_tail(
     x = x0 + a0 * z
     if not 1 <= x < b_last:
         raise RuntimeError("progression produced an improper final pair")
-    return x, b_last, BezoutPair(x0, y0), a0
+    return [(x, b_last), (1, nb * b_last)], BezoutPair(x0, y0), a0
+
+
+def _settle_coprime(value: Fraction, terms: list[tuple[int, int]]) -> Decomposition:
+    d = _settle(decomposition(value, terms))
+    if not coprime_shape(d):
+        raise RuntimeError("construction lost the coprime certificate shape")
+    return d
 
 
 def general_coprime(
@@ -222,11 +229,7 @@ def general_coprime(
         value, n, omega_set, numerator_policy, seed, max_terms
     )
     a0_start = seed if not primes else 0
-    x, b_last, pair, a0 = _progression_tail(rem, n, prod(primes), omega_set, a0_start)
-    nb = n * prod(primes)
-    d = _settle(decomposition(value, head + [(x, b_last), (1, nb * b_last)]))
-    if not coprime_shape(d):
-        raise RuntimeError("construction lost the coprime certificate shape")
+    tail, pair, a0 = _progression_tail(rem, n, prod(primes), omega_set, a0_start)
     trace = ConstructionTrace(
         primes_used=tuple(primes),
         bezout=pair,
@@ -234,7 +237,7 @@ def general_coprime(
         branch=numerator_policy,
         avoided=tuple(sorted(omega_set)),
     )
-    return Built(d, trace)
+    return Built(_settle_coprime(value, head + tail), trace)
 
 
 def all_units_but_one(
@@ -249,47 +252,28 @@ def all_units_but_one(
 
 
 def theorem1(m: int, n: int) -> Built:
-    """Decompose m/n with floor(m/n) in [2, 4+] into exactly floor(m/n) + 2 terms.
+    """Decompose m/n with t = floor(m/n) >= 2 into exactly t + 2 terms.
 
-    Takes the smallest t = floor(m/n) primes above t*n/((t+1)*n - m) that do
-    not divide n, contributes (p-1)/p from each, then closes the remainder
-    with a Bezout pair.  The prime bound guarantees the remainder stays in
-    (0, 1); the result is minimal-length: no faithful decomposition of m/n
-    has fewer than t + 2 terms.
+    Takes the smallest t primes above t*n/((t+1)*n - m) that do not divide
+    n, contributes (p-1)/p from each, then closes the remainder with a
+    Bezout pair.  The prime bound keeps the remainder in (0, 1), and by the
+    paper's Theorem 1 no faithful decomposition of m/n has fewer than t + 2
+    terms.  The head is held to UNIT_HEAD_MAX_TERMS primes, so t > 500
+    raises TermBudgetExceeded instead of building an unprintable closer.
     """
     value = _check_target(m, n)
     t = m // n
     if t < 2:
         raise ValueError("theorem1 needs m/n >= 2")
-    slack_den = (t + 1) * n - m
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < t:
-        p = next_prime_avoiding(candidate, (n,))
-        candidate = p + 1
-        if p * slack_den > t * n:  # p strictly above t*n / ((t+1)*n - m)
-            primes.append(p)
-    unit_sum = sum((Fraction(1, p) for p in primes), Fraction(0))
-    if not unit_sum < (t + 1) - value:
+    candidate = t * n // ((t + 1) * n - m) + 1  # first integer above the bound
+    head, primes, rem = _greedy_head(
+        value, n, frozenset(), "max", 0, UNIT_HEAD_MAX_TERMS, candidate
+    )
+    if len(primes) != t:
         raise RuntimeError("prime bound failed to control the remainder")
-    rem = value - sum((Fraction(p - 1, p) for p in primes), Fraction(0))
-    np_ = n * prod(primes)
-    scaled = rem * np_
-    if scaled.denominator != 1:
-        raise RuntimeError("remainder does not live over n times the prime product")
-    big_m = scaled.numerator
-    if big_m <= 1 or gcd(big_m, np_) != 1:
-        raise RuntimeError("degenerate remainder numerator")
-    y = mod_inverse(big_m, np_)
-    x = (y * big_m - 1) // np_
-    if not 1 <= x < y:
-        raise RuntimeError("Bezout witness out of range")
-    head = [(p - 1, p) for p in primes]
-    d = _settle(decomposition(value, head + [(x, y), (1, np_ * y)]))
-    if not coprime_shape(d):
-        raise RuntimeError("construction lost the coprime certificate shape")
-    trace = ConstructionTrace(primes_used=tuple(primes), bezout=BezoutPair(x, y))
-    return Built(d, trace)
+    tail, pair, _ = _progression_tail(rem, n, prod(primes), frozenset(), 0)
+    trace = ConstructionTrace(primes_used=tuple(primes), bezout=pair)
+    return Built(_settle_coprime(value, head + tail), trace)
 
 
 def prop6_condition(m: int, n: int, y2: int, y: int, x: int) -> bool:

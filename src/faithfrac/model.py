@@ -45,10 +45,6 @@ class Term:
         if self.num < 1 or self.den < 1:
             raise ValueError("term parts must be positive")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -60,10 +56,6 @@ class Decomposition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "target", Fraction(self.target))
         object.__setattr__(self, "terms", tuple(self.terms))
-
-    @property
-    def length(self) -> int:
-        return len(self.terms)
 
     @property
     def denominators(self) -> tuple[int, ...]:

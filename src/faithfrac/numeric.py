@@ -1,26 +1,19 @@
-"""Integer and exact-rational primitives shared by every other module.
+"""Integer primitives shared by every other module.
 
-All arithmetic is arbitrary precision; nothing here ever rounds.  Rational
-values are stdlib ``fractions.Fraction`` instances.
+All arithmetic is arbitrary precision; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
 __all__ = [
     "BezoutPair",
-    "gcd",
     "coprime_parts",
-    "egcd",
     "mod_inverse",
     "is_prime",
-    "primes_avoiding",
     "next_prime_avoiding",
-    "in_ideal",
-    "rational",
 ]
 
 
@@ -29,35 +22,6 @@ class BezoutPair(NamedTuple):
 
     x: int
     y: int
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Build a reduced Fraction, rejecting a zero denominator loudly."""
-    if den == 0:
-        raise ValueError("denominator must be nonzero")
-    return Fraction(num, den)
-
-
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) and s*a + t*b = g.
-
-    Inputs must be nonnegative and not both zero.  The coefficients are the
-    ones produced by the classic iterative remainder chain, so results are
-    reproducible: egcd(3, 7) == (1, -2, 1).
-    """
-    if a < 0 or b < 0:
-        raise ValueError("egcd requires nonnegative inputs")
-    if a == 0 and b == 0:
-        raise ValueError("egcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def coprime_parts(n: int, values: Iterable[int]) -> list[int]:
@@ -154,29 +118,15 @@ def is_prime(n: int) -> bool:
     return all(_strong_probable_prime(n, a, d, r) for a in witnesses)
 
 
-def primes_avoiding(lower_bound: int, forbidden: Iterable[int], count: int) -> list[int]:
-    """The `count` smallest primes p >= lower_bound dividing no forbidden value."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+def next_prime_avoiding(lower_bound: int, forbidden: Iterable[int]) -> int:
+    """First prime p >= lower_bound dividing no forbidden value.
+
+    Every forbidden value must be positive: 0 is divisible by every prime.
+    """
     forb = tuple(forbidden)
     if any(f < 1 for f in forb):
         raise ValueError("forbidden values must be positive")
-    found: list[int] = []
     p = max(2, lower_bound)
-    while len(found) < count:
-        if is_prime(p) and all(f % p != 0 for f in forb):
-            found.append(p)
+    while not (is_prime(p) and all(f % p != 0 for f in forb)):
         p += 1
-    return found
-
-
-def next_prime_avoiding(lower_bound: int, forbidden: Iterable[int]) -> int:
-    """First prime p >= lower_bound dividing no forbidden value."""
-    return primes_avoiding(lower_bound, forbidden, 1)[0]
-
-
-def in_ideal(v: Fraction | int, n: int) -> bool:
-    """True iff n*v is an integer, i.e. v is a multiple of 1/n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n % Fraction(v).denominator == 0
+    return p

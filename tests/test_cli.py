@@ -192,6 +192,31 @@ def test_decompose_theorem2_head_past_budget_exits_three(capsys, m, n):
     assert err.startswith("error: ") and "prime terms" in err
 
 
+def test_decompose_theorem1_head_past_budget_exits_three(capsys):
+    code, out, err = run(["decompose", "100001", "1", "--strategy", "theorem1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "prime terms" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["7", "3", "--strategy", "theorem1", "--omega", "5"],
+        ["4", "7", "--strategy", "two-term", "--omega", "5"],
+        ["4", "13", "--strategy", "theorem4", "--seed", "0"],
+        ["4", "9", "--strategy", "prop7", "--parts", "2,2"],
+        ["9", "5", "--strategy", "theorem2", "--parts", "4,5"],
+        ["5", "7", "--strategy", "partition", "--parts", "2,3", "--omega", "2"],
+    ],
+)
+def test_decompose_flag_the_strategy_ignores_is_usage_error(capsys, argv):
+    code, out, err = run(["decompose", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "does not apply" in err
+
+
 def test_verify_integer_past_digit_limit_is_usage_error(capsys, monkeypatch):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -287,9 +312,11 @@ def test_table_prop7_prediction_column(capsys):
 
 
 def test_table_prop7_rejected_numerator_is_usage_error(capsys):
-    code, _, err = run(["table", "--kind", "prop7", "--m", "2", "--n-max", "10"], capsys)
-    assert code == 2
-    assert "error:" in err
+    for m in ("2", "0", "1"):
+        for n_range in (["--n-max", "10"], ["--n-min", "10", "--n-max", "5"]):
+            code, _, err = run(["table", "--kind", "prop7", "--m", m, *n_range], capsys)
+            assert code == 2, (m, n_range)
+            assert "error:" in err
 
 
 def test_table_empty_range_prints_header_only(capsys):

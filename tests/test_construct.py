@@ -1,5 +1,6 @@
 """Constructors: every builder's output is validated and spot-verified."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -17,6 +18,7 @@ from faithfrac import (
     prop7,
     theorem1,
     theorem4,
+    to_json,
     two_term,
     verify,
     verify_naive,
@@ -135,6 +137,51 @@ def test_theorem1_length_law(mn):
     built = theorem1(m, n)
     assert len(built.decomposition.terms) == m // n + 2
     assert coprime_shape(built.decomposition)
+
+
+def test_theorem1_shares_the_head_budget():
+    # floor(m/n) = 100001 primes; unbounded, this call ran for many seconds.
+    with pytest.raises(TermBudgetExceeded):
+        theorem1(100001, 1)
+
+
+def test_theorem1_builds_at_the_budget():
+    built = theorem1(1001, 2)  # t = 500
+    assert len(built.decomposition.terms) == 502
+    assert coprime_shape(built.decomposition)
+
+
+# ---- pinned outputs ----
+
+
+def _theorem1_grid():
+    return [(m, n) for n in range(1, 120) for m in range(2 * n, 7 * n) if gcd(m, n) == 1]
+
+
+def _two_term_grid():
+    return [(m, n) for n in range(3, 400) for m in range(2, n) if gcd(m, n) == 1]
+
+
+@pytest.mark.parametrize(
+    "build, grid, count, digest",
+    [
+        (theorem1, _theorem1_grid, 21770,
+         "c0dde96fa7940f036ef5b95f46e8ee5476d1a1a6a61c1716409d0dd3f0414fa8"),
+        (two_term, _two_term_grid, 48119,
+         "36c581676c2b4cbd7dce3567f4fb535952bdae75abb4281a50e61872b94d5f18"),
+    ],
+    ids=["theorem1", "two_term"],
+)
+def test_constructor_outputs_are_pinned(build, grid, count, digest):
+    # sha256 of to_json(d) + repr(trace) over the grid, in order: a change to
+    # prime selection or to the Bezout closing pair fails here loudly.
+    cases = grid()
+    assert len(cases) == count
+    h = hashlib.sha256()
+    for m, n in cases:
+        built = build(m, n)
+        h.update((to_json(built.decomposition) + repr(built.trace)).encode())
+    assert h.hexdigest() == digest
 
 
 # ---- all units but one ----

@@ -1,7 +1,6 @@
-"""Tests for the integer and exact-rational primitives."""
+"""Tests for the integer primitives."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +8,9 @@ from hypothesis import strategies as st
 
 from faithfrac import (
     coprime_parts,
-    egcd,
-    in_ideal,
     is_prime,
     mod_inverse,
     next_prime_avoiding,
-    primes_avoiding,
-    rational,
 )
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 200}
@@ -32,34 +27,6 @@ HYP_SETTINGS = {"deadline": None, "max_examples": 200}
 )
 def test_gcd_small_cases(a, b, g):
     assert math.gcd(a, b) == g
-
-
-@pytest.mark.parametrize(
-    "a,b,expected",
-    [
-        (3, 7, (1, -2, 1)),
-        (1, 11, (1, 1, 0)),
-        (29, 30, (1, -1, 1)),
-        (12, 18, (6, -1, 1)),
-    ],
-)
-def test_egcd_known_values(a, b, expected):
-    assert egcd(a, b) == expected
-
-
-def test_egcd_rejects_double_zero():
-    with pytest.raises(ValueError):
-        egcd(0, 0)
-
-
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))
-@settings(**HYP_SETTINGS)
-def test_egcd_bezout_identity(a, b):
-    if a == 0 and b == 0:
-        return
-    g, s, t = egcd(a, b)
-    assert g == math.gcd(a, b)
-    assert s * a + t * b == g
 
 
 @pytest.mark.parametrize(
@@ -114,6 +81,15 @@ def test_is_prime_matches_trial_division_below_2000():
         assert is_prime(n) == slow(n)
 
 
+def successive_primes_avoiding(lower, forbidden, count):
+    """The `count` smallest admissible primes >= lower, one call each."""
+    found = []
+    for _ in range(count):
+        found.append(next_prime_avoiding(lower, forbidden))
+        lower = found[-1] + 1
+    return found
+
+
 @pytest.mark.parametrize(
     "lower,forbidden,count,expected",
     [
@@ -123,7 +99,7 @@ def test_is_prime_matches_trial_division_below_2000():
     ],
 )
 def test_primes_avoiding(lower, forbidden, count, expected):
-    assert primes_avoiding(lower, forbidden, count) == expected
+    assert successive_primes_avoiding(lower, forbidden, count) == expected
 
 
 def test_next_prime_avoiding_agrees_with_list():
@@ -132,47 +108,25 @@ def test_next_prime_avoiding_agrees_with_list():
     assert next_prime_avoiding(14, set()) == 17
 
 
+def test_next_prime_avoiding_rejects_a_zero_forbidden_value():
+    # Every prime divides 0, so the search would never stop.
+    with pytest.raises(ValueError):
+        next_prime_avoiding(2, {0})
+
+
 @given(
     st.integers(min_value=2, max_value=5000),
     st.sets(st.integers(min_value=2, max_value=300), max_size=4),
 )
 @settings(**HYP_SETTINGS)
 def test_primes_avoiding_properties(lower, forbidden):
-    got = primes_avoiding(lower, forbidden, 3)
-    assert len(got) == 3
-    assert got == sorted(got)
-    for p in got:
-        assert is_prime(p)
-        assert p >= lower
-        # p divides no forbidden element
-        assert all(f % p for f in forbidden)
-
-
-@pytest.mark.parametrize(
-    "v,n,expected",
-    [
-        (Fraction(1, 3), 9, True),
-        (Fraction(1, 2), 3, False),
-        (Fraction(0), 17, True),
-        (0, 17, True),
-        (Fraction(4, 9), 9, True),
-    ],
-)
-def test_in_ideal(v, n, expected):
-    assert in_ideal(v, n) is expected
-
-
-@given(st.integers(min_value=-1000, max_value=1000), st.integers(min_value=1, max_value=500))
-@settings(**HYP_SETTINGS)
-def test_multiples_always_in_ideal(k, n):
-    assert in_ideal(Fraction(k, n), n)
-
-
-def test_rational_reduces_and_rejects_zero_denominator():
-    assert rational(6, 9) == Fraction(2, 3)
-    assert rational(5) == 5
-    with pytest.raises(ValueError):
-        rational(1, 0)
+    p = next_prime_avoiding(lower, forbidden)
+    assert is_prime(p)
+    assert p >= lower
+    # p divides no forbidden element
+    assert all(f % p for f in forbidden)
+    # and it is the first such prime
+    assert all(not is_prime(q) or any(f % q == 0 for f in forbidden) for q in range(lower, p))
 
 
 @pytest.mark.parametrize(
