@@ -162,7 +162,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     elif args.strategy == "theorem1":
         built = theorem1(m, n)
     elif args.strategy == "theorem2":
-        omega = _parse_int_list(args.omega, "--omega") if args.omega else []
+        omega = _parse_int_list(args.omega, "--omega") if args.omega is not None else []
         built = all_units_but_one(m, n, omega=omega, seed=args.seed or 0)
     elif args.strategy == "prop7":
         built = prop7(m, n)
@@ -296,6 +296,8 @@ def _table_rows_prop7(m: int, n_lo: int, n_hi: int, cap: int):
 
 def cmd_table(args: argparse.Namespace) -> int:
     if args.kind == "four-over-n":
+        if args.m is not None:
+            return _fail("--m does not apply to --kind four-over-n")
         rows = _table_rows_four_over_n(args.n_min, args.n_max, args.cap)
         columns = list(_TABLE_COLUMNS)
     else:

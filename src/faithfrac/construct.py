@@ -258,7 +258,8 @@ def theorem1(m: int, n: int) -> Built:
     n, contributes (p-1)/p from each, then closes the remainder with a
     Bezout pair.  The prime bound keeps the remainder in (0, 1), and by the
     paper's Theorem 1 no faithful decomposition of m/n has fewer than t + 2
-    terms.  The head is held to UNIT_HEAD_MAX_TERMS primes, so t > 500
+    terms; min_length_search confirms that bound on a grid of small targets
+    (tests/test_search.py).  The head is held to UNIT_HEAD_MAX_TERMS primes, so t > 500
     raises TermBudgetExceeded instead of building an unprintable closer.
     """
     value = _check_target(m, n)

@@ -4,8 +4,8 @@ scanner that stress-tests the three-term arithmetic condition.
 The length searcher proves statements of the form "m/n has no faithful
 decomposition with at most L terms and denominators at most B" by exhausting
 the bounded space, pruning with the necessary conditions (no denominator
-divides n, every numerator a satisfies a*gcd(b,n) < b) and with exact
-remaining-sum intervals.
+divides n, every numerator a satisfies a*gcd(b,n) < b) and with remaining-sum
+intervals, all in integer numerators over D = lcm(n, b_i).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .construct import prop7, prop6_condition
@@ -75,7 +75,7 @@ def _colex_sets(pool: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
 
 
 def _max_numerator(b: int, n: int) -> int:
-    # Largest a with a*gcd(b, n) < b; 0 means the denominator is unusable.
+    # Largest a with a*gcd(b, n) < b; at least 1 when b does not divide n.
     return (b - 1) // gcd(b, n)
 
 
@@ -89,9 +89,10 @@ def min_length_search(
 
     Denominator sets are enumerated in colex order (shuffle_seed reorders
     them, as an independence check on the exhaustion verdict); numerators are
-    assigned by backtracking with exact remaining-sum intervals.  Per length,
-    the first faithful candidate stops the scan; exhausted means the whole
-    bounded space was covered without a cap break.
+    assigned by backtracking over integer numerators with common denominator
+    D = lcm(n, b_i), pruned by each set's remaining-sum intervals.  Per
+    length, the first faithful candidate stops the scan; exhausted means the
+    whole bounded space was covered without a cap break.
     """
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("target must be a positive fraction in lowest terms")
@@ -100,17 +101,20 @@ def min_length_search(
     combos = 0
     cap_hit = False
     outcomes: list[LengthOutcome] = []
+    # Per denominator set: term j weighs D // b_j, may carry 1..his[j], and
+    # the terms after slot j carry between tail_min[j] and tail_max[j].
+    dens: tuple[int, ...] = ()
+    weights: list[int] = []
+    his: list[int] = []
+    tail_min: list[int] = []
+    tail_max: list[int] = []
 
-    def backtrack(
-        dens: tuple[int, ...], idx: int, rem: Fraction, chosen: list[int]
-    ) -> Decomposition | None:
+    def backtrack(idx: int, rem: int, chosen: list[int]) -> Decomposition | None:
         nonlocal combos, cap_hit
         if combos > budget.combo_cap:
             cap_hit = True
             return None
         if idx == len(dens):
-            if rem != 0:
-                return None
             cand = decomposition(target, list(zip(chosen, dens)))
             try:
                 report = verify(cand, cap=budget.combo_cap)
@@ -119,31 +123,24 @@ def min_length_search(
                 return None
             combos += report.combos_examined
             return cand if report.faithful else None
-        b = dens[idx]
-        hi = _max_numerator(b, n)
-        if hi == 0:
-            return None
+        w = weights[idx]
+        hi = his[idx]
         if idx == len(dens) - 1:
-            # Final slot: solve a/b = rem directly instead of scanning.
+            # Final slot: solve a * w = rem directly instead of scanning.
             combos += 1
-            a = rem * b
-            if a.denominator == 1 and 1 <= a.numerator <= hi:
-                return backtrack(dens, idx + 1, Fraction(0), chosen + [a.numerator])
+            a, r = divmod(rem, w)
+            if r == 0 and 1 <= a <= hi:
+                return backtrack(idx + 1, 0, chosen + [a])
             return None
-        # Exact interval prune: what the remaining positions can still carry.
-        tail_min = sum(Fraction(1, dens[j]) for j in range(idx + 1, len(dens)))
-        tail_max = sum(
-            Fraction(_max_numerator(dens[j], n), dens[j])
-            for j in range(idx + 1, len(dens))
-        )
+        low, high = tail_min[idx], tail_max[idx]
         for a in range(1, hi + 1):
             combos += 1
-            nxt = rem - Fraction(a, b)
-            if nxt < tail_min:
+            nxt = rem - a * w
+            if nxt < low:
                 break
-            if nxt > tail_max:
+            if nxt > high:
                 continue
-            got = backtrack(dens, idx + 1, nxt, chosen + [a])
+            got = backtrack(idx + 1, nxt, chosen + [a])
             if got is not None or cap_hit:
                 return got
         return None
@@ -159,7 +156,15 @@ def min_length_search(
             sets = shuffled
         found: Decomposition | None = None
         for dens in sets:
-            found = backtrack(dens, 0, target, [])
+            D = lcm(n, *dens)
+            weights = [D // b for b in dens]
+            his = [_max_numerator(b, n) for b in dens]
+            tail_min = [sum(weights[j + 1 :]) for j in range(length)]
+            tail_max = [
+                sum(h * w for h, w in zip(his[j + 1 :], weights[j + 1 :]))
+                for j in range(length)
+            ]
+            found = backtrack(0, m * (D // n), [])
             if found is not None or cap_hit:
                 break
         outcomes.append(

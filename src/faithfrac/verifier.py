@@ -24,6 +24,7 @@ from functools import partial
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterator
 
 from .model import Decomposition, validate
@@ -81,25 +82,31 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
 
     Stops at the first violating vector in enumeration order (first
     coefficient fastest).  Refuses instances whose full lattice exceeds cap.
+    Membership is tested in its own integer arithmetic, apart from the fast
+    path's: over L = lcm(b_i) a vector's value is num / L, and it lies in
+    (1/n)Z exactly when num * n % L == 0.
     """
     _checked(d)
-    n = d.target.denominator
-    u = d.target
+    m, n = d.target.numerator, d.target.denominator
     bounds = [t.num for t in d.terms]
     total = prod(a + 1 for a in bounds)
     if total > cap:
         raise CapExceeded(f"naive lattice has {total} points, cap is {cap}; use verify")
-    # Coefficient x_i contributes x_i copies of 1/b_i, not multiples of a_i/b_i.
-    values = [Fraction(1, t.den) for t in d.terms]
+    # Coefficient x_i contributes x_i copies of 1/b_i, not multiples of a_i/b_i:
+    # x_i * (L // b_i) to the numerator over L.
+    L = lcm(*(t.den for t in d.terms))
+    mL = m * L
     combos = 0
     # itertools.product varies its last factor fastest; feeding it the bounds
-    # reversed makes the first coefficient the fastest-moving one.
+    # reversed makes the first coefficient the fastest-moving one, so each
+    # vector arrives reversed and is paired with the shares in reverse.
+    rshares = [L // t.den for t in reversed(d.terms)]
     for rev in iproduct(*[range(a + 1) for a in reversed(bounds)]):
-        vec = rev[::-1]
         combos += 1
-        v = sum((x * val for x, val in zip(vec, values)), Fraction(0))
-        if n % v.denominator == 0 and v != 0 and v != u:
-            return FaithfulnessReport(False, Violation(vec, v), combos, "naive")
+        num = sum(map(mul, rev, rshares))
+        if num and num * n % L == 0 and num * n != mL:
+            violation = Violation(rev[::-1], Fraction(num, L))
+            return FaithfulnessReport(False, violation, combos, "naive")
     return FaithfulnessReport(True, None, combos, "naive")
 
 

@@ -217,6 +217,14 @@ def test_decompose_flag_the_strategy_ignores_is_usage_error(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ") and "does not apply" in err
 
 
+@pytest.mark.parametrize("omega", ["", ","])
+def test_decompose_empty_omega_is_usage_error(capsys, omega):
+    code, out, err = run(["decompose", "9", "5", "--strategy", "theorem2", "--omega", omega], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --omega must not be empty\n"
+
+
 def test_verify_integer_past_digit_limit_is_usage_error(capsys, monkeypatch):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -317,6 +325,13 @@ def test_table_prop7_rejected_numerator_is_usage_error(capsys):
             code, _, err = run(["table", "--kind", "prop7", "--m", m, *n_range], capsys)
             assert code == 2, (m, n_range)
             assert "error:" in err
+
+
+def test_table_four_over_n_rejects_m(capsys):
+    code, out, err = run(["table", "--kind", "four-over-n", "--m", "3", "--n-max", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --m does not apply to --kind four-over-n\n"
 
 
 def test_table_empty_range_prints_header_only(capsys):

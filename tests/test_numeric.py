@@ -17,19 +17,6 @@ HYP_SETTINGS = {"deadline": None, "max_examples": 200}
 
 
 @pytest.mark.parametrize(
-    "a,b,g",
-    [
-        (12, 18, 6),
-        (7, 0, 7),
-        (35, 64, 1),
-        (0, 0, 0),
-    ],
-)
-def test_gcd_small_cases(a, b, g):
-    assert math.gcd(a, b) == g
-
-
-@pytest.mark.parametrize(
     "a,n,inv",
     [
         (4, 5, 4),

@@ -1,6 +1,7 @@
 """Bounded exhaustive search and the three-term condition scanner."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -78,6 +79,58 @@ def test_found_witness_always_verifies():
         if w is not None:
             assert w.target == Fraction(m, n)
             assert verify(w).faithful
+
+
+def outcome_pairs(result):
+    return [
+        (o.exhausted, None if o.found is None else [(t.num, t.den) for t in o.found.terms])
+        for o in result.outcomes
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, n, budget, combos, cap_hit, outcomes",
+    [
+        (7, 3, SearchBudget(3, 30), 115_047, False, [(True, None)] * 3),
+        (5, 2, SearchBudget(3, 40), 189_781, False, [(True, None)] * 3),
+        (11, 5, SearchBudget(3, 30), 243_875, False, [(True, None)] * 3),
+        (3, 4, SearchBudget(3, 30), 785, False,
+         [(True, None), (False, [(2, 3), (1, 12)]), (False, [(1, 3), (3, 9), (1, 12)])]),
+        (7, 3, SearchBudget(4, 20, 3000), 3_005, True,
+         [(True, None), (True, None), (False, None), (False, None)]),
+    ],
+)
+def test_search_results_are_pinned(m, n, budget, combos, cap_hit, outcomes):
+    result = min_length_search(m, n, budget)
+    assert result.target == Fraction(m, n)
+    assert result.combos_used == combos
+    assert result.cap_hit == cap_hit
+    assert [o.length for o in result.outcomes] == list(range(1, budget.max_length + 1))
+    assert outcome_pairs(result) == outcomes
+
+
+def test_length_law_holds_on_a_grid():
+    """The paper's Theorem 1: a faithful decomposition of m/n with
+    t <= m/n < t + 1 (t >= 2) has at least t + 2 terms.
+
+    Every reduced m/n with t = 2 and n <= 6 (12 targets) exhausts lengths up
+    to 3 with denominators up to 20, and every one with t = 3 and n <= 4
+    (6 targets) exhausts lengths up to 4 with denominators up to 14.
+    """
+    grid = [(2, 6, SearchBudget(3, 20)), (3, 4, SearchBudget(4, 14))]
+    targets = [
+        (m, n, budget)
+        for t, n_max, budget in grid
+        for n in range(1, n_max + 1)
+        for m in range(t * n, (t + 1) * n)
+        if gcd(m, n) == 1
+    ]
+    assert len(targets) == 18
+    for m, n, budget in targets:
+        result = min_length_search(m, n, budget)
+        assert result.witness is None, (m, n)
+        assert not result.cap_hit, (m, n)
+        assert all(o.exhausted for o in result.outcomes), (m, n)
 
 
 def test_prop6_scan_finds_no_discrepancies_small_range():

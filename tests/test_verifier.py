@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from faithfrac import (
     DEFAULT_CAP,
     CapExceeded,
+    FaithfulnessReport,
     PartitionSpec,
+    Violation,
     coprime_parts,
     decompose_partition,
     decomposition,
@@ -274,6 +276,36 @@ def brute_partial_sums(d):
 @settings(**HYP_SETTINGS)
 def test_partial_sums_match_brute_force(d):
     assert partial_sums_in_ideal(d) == brute_partial_sums(d)
+
+
+def fraction_oracle(d):
+    """verify_naive's enumeration with its sums taken in Fraction arithmetic."""
+    n, values = d.target.denominator, [Fraction(1, t.den) for t in d.terms]
+    for combos, rev in enumerate(product(*[range(t.num + 1) for t in reversed(d.terms)]), 1):
+        v = sum((x * val for x, val in zip(rev[::-1], values)), Fraction(0))
+        if n % v.denominator == 0 and v != 0 and v != d.target:
+            return FaithfulnessReport(False, Violation(rev[::-1], v), combos, "naive")
+    return FaithfulnessReport(True, None, combos, "naive")
+
+
+@st.composite
+def oracle_inputs(draw):
+    """1-6 terms over denominators 1..60, numerators up to 6 (past b too)."""
+    dens = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6, unique=True))
+    pairs = [(draw(st.integers(min_value=1, max_value=6)), b) for b in dens]
+    if prod(a + 1 for a, _ in pairs) > 3000:
+        pairs = [(1, b) for _, b in pairs]
+    return decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
+
+
+@given(oracle_inputs())
+@example(d_of(1, 75, [(1, 75)]))  # a self-term: its only lattice values are 0 and m/n
+@example(d_of(2, 1, [(2, 1)]))  # an integer self-term
+@example(BAD_FIVE_SIXTHS)  # both denominators divide n
+@example(BAD_FOUR_NINTHS)
+@settings(**HYP_SETTINGS)
+def test_integer_oracle_matches_fraction_sums(d):
+    assert verify_naive(d) == fraction_oracle(d)
 
 
 @st.composite
