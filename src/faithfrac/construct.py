@@ -291,10 +291,13 @@ def prop6_condition(m: int, n: int, y2: int, y: int, x: int) -> bool:
         raise ValueError("y and y2 must be coprime")
     if x >= y:
         return False
-    middle = Fraction(m, n) - Fraction(1, y2) - Fraction(x, y * n)
-    if middle <= 0 or middle.numerator != 1:
+    # The middle term m/n - 1/y2 - x/(y*n) is num/den over den = n*y*y2; it
+    # is a unit fraction 1/y1 exactly when num > 0 divides den.
+    den = n * y * y2
+    num = m * y * y2 - n * y - x * y2
+    if num <= 0 or den % num:
         raise ValueError("middle term is not a positive unit fraction")
-    y1 = middle.denominator
+    y1 = den // num
     if len({y2, y1, y * n}) != 3:
         raise ValueError("denominators are not distinct")
     return all(n != mp * y2 for mp in range(1, m))

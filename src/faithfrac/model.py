@@ -68,7 +68,7 @@ class Decomposition:
 
 def decomposition(target: Fraction | int, pairs: Iterable[tuple[int, int]]) -> Decomposition:
     """Convenience builder from (num, den) pairs."""
-    return Decomposition(Fraction(target), tuple(Term(a, b) for a, b in pairs))
+    return Decomposition(target, tuple(Term(a, b) for a, b in pairs))
 
 
 def validate(d: Decomposition) -> list[str]:
@@ -77,18 +77,19 @@ def validate(d: Decomposition) -> list[str]:
     The empty decomposition is accepted only for target 0 (the vacuous sum).
     """
     problems: list[str] = []
+    m, n = d.target.numerator, d.target.denominator
     if not d.terms:
-        if d.target != 0:
+        if m != 0:
             problems.append("sum mismatch")
         return problems
-    if d.target <= 0:
+    if m <= 0:
         problems.append("nonpositive target")
     dens = d.denominators
     if len(set(dens)) != len(dens):
         problems.append("duplicate denominator")
     # sum a_i/b_i == m/n, cleared of denominators over L = lcm(b_i).
     L = lcm(*dens)
-    if sum(t.num * (L // t.den) for t in d.terms) * d.target.denominator != d.target.numerator * L:
+    if sum(t.num * (L // t.den) for t in d.terms) * n != m * L:
         problems.append("sum mismatch")
     return problems
 

@@ -12,20 +12,21 @@ coprime parts, each involving only the terms whose weight L / b_i it does
 not divide.  Terms of several parts are enumerated; each part then solves
 its widest coefficient x_k by congruence and walks the rest jointly.  A
 part whose walk has more points than the cap raises CapExceeded before
-anything is enumerated.  The walk hands every in-ideal point and its exact
-value to a visitor: verify keeps the colex-minimal point whose value is
-neither 0 nor m/n, partial_sums_in_ideal the values.
+anything is enumerated.  The walk is one loop nest over plain per-part
+data, and hands every in-ideal point with its integer numerator over L to
+a visitor: verify keeps the colex-minimal point whose value is neither 0
+nor m/n, partial_sums_in_ideal the distinct numerators.  Each builds a
+Fraction only for what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .model import Decomposition, validate
 from .numeric import coprime_parts
@@ -142,22 +143,6 @@ def _iter_assignments(
             prefix[j + 1] = prefix[j]
 
 
-def _walk(vec, cap, rest, rest_bounds, rest_weights, cands_of, q, start, row) -> int:
-    """Enumerate the coefficients of rest from residue start (mod q); fill
-    vec and add row(cands, s) wherever cands_of(s) is non-empty."""
-    spent = 0
-    for digits, s in _iter_assignments(rest_bounds, rest_weights, q, start):
-        spent += 1
-        cands = cands_of(s)
-        if cands:
-            for i, x in zip(rest, digits):
-                vec[i] = x
-            spent += row(cands, s)
-        if spent > cap:
-            raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-    return spent
-
-
 def _plan(W: int, weights: list[int], bounds: list[int]):
     """Split W into coprime parts: (parts, shared terms, private terms per part).
 
@@ -190,14 +175,15 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(bounds[i] + 1 for i in shared) * walks < rest else single
 
 
-def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], None]) -> int:
+def _scan(d: Decomposition, cap: int, visit) -> tuple[int, int]:
     """Walk every in-ideal lattice point of a non-empty decomposition.
 
-    Calls visit(vec, value) once per point.  vec is one list the walk
-    rewrites in place, so a visitor that keeps it must copy it.  Returns
-    combos_examined.  Under each assignment of the shared terms every part
-    but the last lists its solutions; each row of the last part's walk is
-    then multiplied out with those lists and visited.
+    Calls visit(vec, num) once per point, whose value is num / L with
+    L = lcm(b_i).  vec is one list the walk rewrites in place, so a visitor
+    that keeps it must copy it.  Returns (combos_examined, L).  Under each
+    assignment of the shared terms every part but the last lists its
+    solutions; each row of the last part's walk is then multiplied out with
+    those lists and visited.
     """
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
@@ -208,90 +194,91 @@ def _scan(d: Decomposition, cap: int, visit: Callable[[list[int], Fraction], Non
     shares = [L // b for b in dens]
     weights = [s % W for s in shares]
     parts, shared, private = _plan(W, weights, bounds)
-    vec = [0] * len(bounds)
-
-    def prepare(q: int, ts: list[int]):
-        """Part q's widest term k, its other terms, and solve(start, row),
-        which walks those terms from residue start and calls row(cands, s)
-        with every x_k in [0, a_k] solving w_k * x_k == -s (mod q).
-        Solvable residues need s == 0 (mod g), g = gcd(w_k, q).  A walk
-        past the cap is refused before anything is enumerated."""
+    # Part q walks its terms but the widest, k, from the residue s (mod q)
+    # the shared terms leave, and solves w_k * x_k == -r (mod q) for each
+    # residue r the walk reaches: solvable when r == 0 (mod g), g =
+    # gcd(w_k, q), by every x_k == -(r / g) * inv (mod step) in [0, a_k].
+    # A walk past the cap is refused before anything is enumerated.
+    solvers = []
+    for q, ts in zip(parts, private):
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
         rest_bounds = [bounds[i] for i in rest]
-        rest_weights = [weights[i] % q for i in rest]
         walk = prod(a + 1 for a in rest_bounds)
         if walk > cap:
             raise CapExceeded(f"walk of {walk} points exceeds cap {cap}")
         g = gcd(weights[k], q)
         step = q // g
         inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
-
-        def candidates(s: int) -> range:
-            return range(0) if s % g else range(-(s // g) * inv % step, bounds[k] + 1, step)
-
-        return k, rest, partial(_walk, vec, cap, rest, rest_bounds, rest_weights, candidates, q)
-
-    solvers = [prepare(q, ts) for q, ts in zip(parts, private)]
-    k, rest, solve = solvers[-1]
-    walked = shared + rest
-    # The other parts' solutions under the current shared assignment, each as
-    # (coefficients of its slots, their numerator over L).
-    sols: list[list] = []
-    slots: list[list[int]] = []
-
-    def emit(cands: range, _s: int) -> int:
-        """A row of the last part: vec holds the walked coefficients, and
-        each candidate for k completes an in-ideal point under each
-        combination of the other parts' solutions."""
-        points, others = len(cands), [()]
-        if sols:
-            points *= prod(map(len, sols))
-            if points > cap:
-                raise CapExceeded(f"combination evaluations exceeded cap {cap}")
-            others = iproduct(*sols)
-        base = sum(vec[i] * shares[i] for i in walked)
-        for combo in others:
-            b = base
-            for slot, (xs, num) in zip(slots, combo):
-                for i, x in zip(slot, xs):
-                    vec[i] = x
-                b += num
-            for x_k in cands:
-                v = Fraction(b + x_k * shares[k], L)
-                if n % v.denominator != 0:
-                    raise RuntimeError("congruence produced a value outside (1/n)Z")
-                vec[k] = x_k
-                visit(vec, v)
-        return points
-
-    if len(parts) == 1:  # no shared term: one walk
-        return solve(0, emit)
-    sols = [[] for _ in solvers[:-1]]
-    slots = [rest_j + [k_j] for k_j, rest_j, _ in solvers[:-1]]
-
-    def collect(k_j: int, rest_j: list[int], found: list, cands: range, _s: int) -> int:
-        """A row of another part: list its solutions in found."""
-        xs = [vec[i] for i in rest_j]
-        num = sum(x * shares[i] for x, i in zip(xs, rest_j))
-        found.extend(((*xs, x), num + x * shares[k_j]) for x in cands)
-        return len(cands)
-
-    def solve_parts(_always, s: int) -> int:
-        """List the other parts' solutions for the residue s that the
-        shared terms leave, then walk the last part."""
-        spent = 0
-        for q, (k_j, rest_j, solve_j), found in zip(parts, solvers, sols):
-            found.clear()
-            spent += solve_j(s % q, partial(collect, k_j, rest_j, found))
+        rest_weights = [weights[i] % q for i in rest]
+        rest_shares = [shares[i] for i in rest]
+        # slot lists the part's coefficients in the order its solutions do.
+        slot = rest + [k]
+        solvers.append((q, slot, rest_bounds, rest_weights, rest_shares, g, step, inv, bounds[k] + 1, shares[k]))
+    *others, (q, slot, rest_bounds, rest_weights, rest_shares, g, step, inv, top, s_k) = solvers
+    *rest, k = slot
+    slots = [slot_j for _, slot_j, *_ in others]
+    over = f"combination evaluations exceeded cap {cap}"
+    vec = [0] * len(bounds)
+    shared_shares = [shares[i] for i in shared]
+    combos = 0
+    # A single part (W whole) is one walk: no shared assignment to count.
+    for digits, s in _iter_assignments([bounds[i] for i in shared], [weights[i] for i in shared], W):
+        spent = 1 if others else 0
+        for i, x in zip(shared, digits):
+            vec[i] = x
+        # Each other part's solutions as (coefficients, numerator over L).
+        sols = []
+        for q_j, _, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, top_j, s_j in others:
+            found = []
+            walked = 0
+            for xs, r in _iter_assignments(bounds_j, weights_j, q_j, s % q_j):
+                walked += 1
+                if not r % g_j:
+                    num = sum(map(mul, xs, shares_j))
+                    cands = range(-(r // g_j) * inv_j % step_j, top_j, step_j)
+                    found += [((*xs, x), num + x * s_j) for x in cands]
+                    walked += len(cands)
+                if walked > cap:
+                    raise CapExceeded(over)
+            spent += walked
             if not found:
-                return spent
-        return spent + solve(s % parts[-1], emit)
-
-    return _walk(
-        vec, cap, shared, [bounds[i] for i in shared], [weights[i] for i in shared],
-        lambda _s: True, W, 0, solve_parts,
-    )
+                break
+            sols.append(found)
+        else:
+            rows = prod(map(len, sols))
+            base = sum(map(mul, digits, shared_shares))
+            walked = 0
+            for xs, r in _iter_assignments(rest_bounds, rest_weights, q, s % q):
+                walked += 1
+                cands = range(0) if r % g else range(-(r // g) * inv % step, top, step)
+                if cands:
+                    points = len(cands) * rows
+                    if points > cap:
+                        raise CapExceeded(over)
+                    walked += points
+                    for i, x in zip(rest, xs):
+                        vec[i] = x
+                    b_rest = base + sum(map(mul, xs, rest_shares))
+                    for combo in iproduct(*sols):
+                        b = b_rest
+                        for slot_j, (ys, num_j) in zip(slots, combo):
+                            for i, y in zip(slot_j, ys):
+                                vec[i] = y
+                            b += num_j
+                        for x in cands:
+                            num = b + x * s_k
+                            if num * n % L:
+                                raise RuntimeError("congruence produced a value outside (1/n)Z")
+                            vec[k] = x
+                            visit(vec, num)
+                if walked > cap:
+                    raise CapExceeded(over)
+            spent += walked
+        combos += spent
+        if combos > cap:
+            raise CapExceeded(over)
+    return combos, L
 
 
 def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
@@ -302,22 +289,26 @@ def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
-    u_num, u_den = d.target.numerator, d.target.denominator
-    best: Violation | None = None
+    m, n = d.target.numerator, d.target.denominator
+    mL = m * lcm(*d.denominators)
     best_key: list[int] = []
+    best_num = 0
 
-    def keep_colex_min(vec: list[int], v: Fraction) -> None:
+    def keep_colex_min(vec: list[int], num: int) -> None:
         # verify_naive varies the first coefficient fastest, so the violation
         # it stops at is the colex-minimal one: compare reversed vectors.
-        nonlocal best, best_key
-        if not v.numerator or (v.numerator == u_num and v.denominator == u_den):
+        nonlocal best_key, best_num
+        if not num or num * n == mL:
             return
         key = vec[::-1]
-        if best is None or key < best_key:
-            best, best_key = Violation(tuple(vec), v), key
+        if not best_key or key < best_key:
+            best_key, best_num = key, num
 
-    combos = _scan(d, cap, keep_colex_min)
-    return FaithfulnessReport(best is None, best, combos, "congruence")
+    combos, L = _scan(d, cap, keep_colex_min)
+    if not best_key:
+        return FaithfulnessReport(True, None, combos, "congruence")
+    violation = Violation(tuple(reversed(best_key)), Fraction(best_num, L))
+    return FaithfulnessReport(False, violation, combos, "congruence")
 
 
 def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
@@ -328,6 +319,6 @@ def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset
     _checked(d)
     if not d.terms:
         return frozenset({Fraction(0)})
-    values: set[Fraction] = set()
-    _scan(d, cap, lambda _vec, v: values.add(v))
-    return frozenset(values)
+    nums: set[int] = set()
+    _, L = _scan(d, cap, lambda _vec, num: nums.add(num))
+    return frozenset(Fraction(num, L) for num in nums)

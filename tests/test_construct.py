@@ -314,6 +314,42 @@ def test_prop6_condition_rejects_bad_shapes():
         prop6_condition(4, 13, 5, 7, 2)
 
 
+def fraction_prop6(m, n, y2, y, x):
+    """prop6_condition's test with the middle term taken in Fraction
+    arithmetic; None where prop6_condition must raise ValueError."""
+    if min(m, n, y2, y, x) < 1 or gcd(y, y2) != 1:
+        return None
+    if x >= y:
+        return False
+    middle = Fraction(m, n) - Fraction(1, y2) - Fraction(x, y * n)
+    if middle <= 0 or middle.numerator != 1 or len({y2, middle.denominator, y * n}) != 3:
+        return None
+    return all(n != mp * y2 for mp in range(1, m))
+
+
+@st.composite
+def prop6_triples(draw):
+    """Random (m, n, y2, y, x), or one read off a prop7 output, so that the
+    middle term is a unit fraction often enough to reach the verdict."""
+    if draw(st.booleans()):
+        return tuple(draw(st.integers(min_value=0, max_value=40)) for _ in range(5))
+    m = draw(st.integers(min_value=3, max_value=7))
+    n = draw(st.integers(min_value=m + 1, max_value=300).filter(lambda n: gcd(m, n) == 1))
+    (_, y2), _, (x, yn) = pairs_of(prop7(m, n).decomposition)
+    return m, n, y2, yn // n, x + draw(st.integers(min_value=-1, max_value=1))
+
+
+@given(prop6_triples())
+@settings(**HYP_SETTINGS)
+def test_prop6_condition_matches_fraction_arithmetic(args):
+    expected = fraction_prop6(*args)
+    if expected is None:
+        with pytest.raises(ValueError):
+            prop6_condition(*args)
+    else:
+        assert prop6_condition(*args) is expected
+
+
 def test_prop7_three_sevenths():
     built = prop7(3, 7)
     assert pairs_of(built.decomposition) == [(1, 3), (1, 15), (1, 35)]

@@ -6,6 +6,8 @@ pick, and whether or not the congruence splits over coprime parts of W.
 The naive oracle is the ground truth everything else is held to.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -165,6 +167,64 @@ def test_combos_examined_is_pinned_on_both_paths(m, n, combos):
     report = verify(theorem1(m, n).decomposition)
     assert report.method == "congruence"
     assert report.combos_examined == combos
+
+
+def _walk_grid():
+    """400 seeded 1-5-term decompositions over denominators below 40, each
+    at caps 10**4, 100, 10 and 3, then at the default cap the theorem1
+    outputs of the 50 seed-730 targets, of which the benchmark's
+    deep-lattice workload takes 44."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(400):
+        dens = rng.sample(range(1, 40), rng.randint(1, 5))
+        d = of_pairs([(rng.randint(1, min(b + 2, 9)), b) for b in dens])
+        cases += [(d, cap) for cap in (10**4, 100, 10, 3)]
+    rng = random.Random(730)
+    while len(cases) < 1650:
+        n, t = rng.randint(1, 50), rng.randint(2, 4)
+        m = rng.randint(t * n, (t + 1) * n - 1)
+        if gcd(m, n) == 1:
+            cases.append((theorem1(m, n).decomposition, DEFAULT_CAP))
+    return cases
+
+
+def _outcome(check, d, cap):
+    try:
+        return repr(check(d, cap))
+    except CapExceeded as e:
+        return str(e)
+
+
+def test_walk_outcomes_are_pinned():
+    # sha256 of every verify report and partial-sums set over the grid, or
+    # the CapExceeded text in their place: pins the verdicts, violations and
+    # combos_examined, and where each cap check fires (before the walk, or
+    # in it) and with what message.
+    h = hashlib.sha256()
+    for d, cap in _walk_grid():
+        report = _outcome(verify, d, cap)
+        sums = _outcome(lambda d, cap: sorted(map(str, partial_sums_in_ideal(d, cap))), d, cap)
+        h.update(f"{report}\n{sums}\n".encode())
+    assert h.hexdigest() == "fd5938e9dc8312d48389ddfeb24aaba935e0e8738c68f5d839269fc23c03e2b6"
+
+
+def test_cap_boundary_is_combos_examined():
+    # Every count is checked against the cap as it grows, so a cap of
+    # combos_examined answers alike unless a part the walk never reached is
+    # refused up front, and one less raises.
+    for d, cap in _walk_grid()[:1600:4]:  # each random decomposition at cap 10**4
+        try:
+            report = verify(d, cap)
+        except CapExceeded:
+            continue
+        spent = report.combos_examined
+        try:
+            assert verify(d, spent) == report
+        except CapExceeded as e:
+            assert str(e).startswith("walk of")
+        with pytest.raises(CapExceeded):
+            verify(d, spent - 1)
 
 
 def test_walk_past_the_cap_raises_at_once():
