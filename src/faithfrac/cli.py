@@ -1,9 +1,13 @@
 """Command line front end: construct, verify, tabulate, and check.
 
-Exit codes: 0 success (faithful / search completed), 1 unfaithful or a
-discrepancy found, 2 usage or input error, 3 enumeration budget exhausted.
-JSON output is byte-stable: fixed key order, integers as decimal strings so
-arbitrary precision survives every consumer.
+Each ``cmd_*`` returns ``(code, payload, lines)``: the exit code, the JSON
+payload printed under ``--format json`` and the lines printed otherwise
+(``table`` prints the same comma layout under ``csv`` and ``text``).  A
+usage error is a ``ValueError``.  Only ``main`` prints, and only ``main``
+maps exceptions to exit codes: 0 success (faithful / search completed), 1
+unfaithful or a discrepancy found, 2 usage or input error, 3 enumeration
+budget exhausted.  JSON output is byte-stable: fixed key order, integers as
+decimal strings so arbitrary precision survives every consumer.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .construct import (
 )
 from .model import Decomposition, coprime_shape, from_json, to_json_dict
 from .partition import PartitionCheck, PartitionSpec, check_partition_theorem
-from .search import SearchBudget, SearchResult, min_length_search, prop6_discrepancy_scan
+from .search import SearchBudget, min_length_search, prop6_discrepancy_scan
 from .verifier import DEFAULT_CAP, CapExceeded, FaithfulnessReport, verify, verify_naive
 
 EXIT_OK = 0
@@ -35,13 +39,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(obj: Any) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+# A command's exit code, its --format json payload and its text lines.
+Result = tuple[int, Any, list[str]]
 
 
 def _frac_dict(f: Fraction) -> dict[str, str]:
@@ -108,55 +107,52 @@ def _parse_range(text: str) -> tuple[int, int]:
         ) from None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> Result:
     if args.input is not None:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            return _fail(f"cannot read {args.input}: {exc}")
+            raise ValueError(f"cannot read {args.input}: {exc}") from None
     else:
         text = sys.stdin.read()
     try:
         d = from_json(text)
     except ValueError as exc:
-        return _fail(f"bad decomposition JSON: {exc}")
+        raise ValueError(f"bad decomposition JSON: {exc}") from None
     checker = verify_naive if args.naive else verify
     report = checker(d, cap=args.cap)
-    if args.format == "text":
-        if report.faithful:
-            print(f"faithful ({report.method}, {report.combos_examined} combinations)")
-        else:
-            v = report.violation
-            coeffs = ",".join(str(c) for c in v.coefficients)
-            print(f"unfaithful: coefficients ({coeffs}) give {v.value}")
+    if report.faithful:
+        line = f"faithful ({report.method}, {report.combos_examined} combinations)"
     else:
-        _emit(_report_dict(report))
-    return EXIT_OK if report.faithful else EXIT_UNFAITHFUL
+        v = report.violation
+        coeffs = ",".join(str(c) for c in v.coefficients)
+        line = f"unfaithful: coefficients ({coeffs}) give {v.value}"
+    return EXIT_OK if report.faithful else EXIT_UNFAITHFUL, _report_dict(report), [line]
 
 
-def _certify(d: Decomposition, cap: int) -> tuple[dict[str, Any], bool]:
-    """Certificate for a constructed decomposition.
-
-    The coprime shape is a proof on its own; anything else goes through the
-    congruence verifier.
-    """
-    if coprime_shape(d):
-        return {"method": "coprime_shape", "faithful": True}, True
-    report = verify(d, cap=cap)
-    cert = _report_dict(report)
-    return cert, report.faithful
+def _check_parts(args: argparse.Namespace) -> tuple[list[int], PartitionCheck, dict[str, Any]]:
+    """Parse --parts, check the partition theorem for m/n, serialise S and T."""
+    parts = _parse_int_list(args.parts, "--parts")
+    check = check_partition_theorem(PartitionSpec(args.m, tuple(parts)), args.n, cap=args.cap)
+    sets = {
+        "s": [_frac_dict(v) for v in sorted(check.s)],
+        "t": [_frac_dict(v) for v in sorted(check.t)],
+        "sets_equal": check.equal,
+    }
+    return parts, check, sets
 
 
 # The optional decompose flags each strategy reads; the others reject them.
-_STRATEGY_FLAGS = {"theorem2": ("omega", "seed"), "partition": ("parts",)}
+_STRATEGY_FLAGS = {"theorem2": ("omega", "seed", "trace"), "partition": ("parts",)}
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
+def cmd_decompose(args: argparse.Namespace) -> Result:
     m, n = args.m, args.n
-    for flag in ("omega", "seed", "parts"):
-        if getattr(args, flag) is not None and flag not in _STRATEGY_FLAGS.get(args.strategy, ()):
-            return _fail(f"--{flag} does not apply to --strategy {args.strategy}")
+    reads = _STRATEGY_FLAGS.get(args.strategy, ("trace",))
+    for flag in ("omega", "seed", "parts", "trace"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"--{flag} does not apply to --strategy {args.strategy}")
     if args.strategy == "two-term":
         built = two_term(m, n)
     elif args.strategy == "theorem1":
@@ -168,162 +164,98 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         built = prop7(m, n)
     elif args.strategy == "theorem4":
         if m != 4:
-            return _fail("--strategy theorem4 needs m = 4")
+            raise ValueError("--strategy theorem4 needs m = 4")
         built = theorem4(n)
-    elif args.strategy == "partition":
-        return _decompose_partition(args)
-    else:  # pragma: no cover - argparse restricts choices
-        return _fail(f"unknown strategy {args.strategy}")
+    else:
+        if not args.parts:
+            raise ValueError("--strategy partition needs --parts")
+        _, check, sets = _check_parts(args)
+        bd = check.block_decomposition
+        out: dict[str, Any] = {
+            "decomposition": to_json_dict(bd.combined),
+            "parts": [str(p) for p in bd.parts],
+            "blocks": [to_json_dict(block)["terms"] for block in bd.blocks],
+            **sets,
+        }
+        lines = [_render(bd.combined)]
+        lines += [f"block {p}/{n}: {_render_terms(b)}" for p, b in zip(bd.parts, bd.blocks)]
+        lines.append(f"sets_equal: {check.equal}")
+        return EXIT_OK if check.equal else EXIT_UNFAITHFUL, out, lines
     d = built.decomposition
     predicted = built.trace.predicted_faithful
-    certificate, faithful = _certify(d, args.cap)
-    out: dict[str, Any] = {"decomposition": to_json_dict(d)}
+    # The coprime shape is a proof on its own; anything else goes through
+    # the congruence verifier.
+    if coprime_shape(d):
+        certificate: dict[str, Any] = {"method": "coprime_shape", "faithful": True}
+    else:
+        certificate = _report_dict(verify(d, cap=args.cap))
+    faithful = certificate["faithful"]
+    out = {"decomposition": to_json_dict(d)}
+    lines = [_render(d), f"certificate: {certificate['method']}, faithful={faithful}"]
     if predicted is not None:
         out["predicted_faithful"] = predicted
+        lines.append(f"predicted_faithful: {predicted}")
     out["certificate"] = certificate
     if args.trace:
         out["trace"] = _trace_dict(built.trace)
-    if args.format == "text":
-        print(_render(d))
-        print(f"certificate: {certificate['method']}, faithful={faithful}")
-        if predicted is not None:
-            print(f"predicted_faithful: {predicted}")
-        if args.trace:
-            print(f"trace: {json.dumps(_trace_dict(built.trace), separators=(',', ':'))}")
-    else:
-        _emit(out)
-    return EXIT_OK if faithful else EXIT_UNFAITHFUL
+        lines.append(f"trace: {json.dumps(out['trace'], separators=(',', ':'))}")
+    return EXIT_OK if faithful else EXIT_UNFAITHFUL, out, lines
 
 
-def _check_parts(args: argparse.Namespace) -> tuple[list[int], PartitionCheck, dict[str, Any]]:
-    """Parse --parts, run the partition theorem check for m/n and serialise
-    its S and T sets with the comparison, in payload key order."""
-    parts = _parse_int_list(args.parts, "--parts")
-    check = check_partition_theorem(PartitionSpec(args.m, tuple(parts)), args.n, cap=args.cap)
-    sets = {
-        "s": [_frac_dict(v) for v in sorted(check.s)],
-        "t": [_frac_dict(v) for v in sorted(check.t)],
-        "sets_equal": check.equal,
-    }
-    return parts, check, sets
-
-
-def _decompose_partition(args: argparse.Namespace) -> int:
-    if not args.parts:
-        return _fail("--strategy partition needs --parts")
-    _, check, sets = _check_parts(args)
-    bd = check.block_decomposition
-    out = {
-        "decomposition": to_json_dict(bd.combined),
-        "parts": [str(p) for p in bd.parts],
-        "blocks": [
-            [{"num": str(t.num), "den": str(t.den)} for t in block.terms]
-            for block in bd.blocks
-        ],
-        **sets,
-    }
-    if args.format == "text":
-        print(_render(bd.combined))
-        for part, block in zip(bd.parts, bd.blocks):
-            print(f"block {part}/{args.n}: {_render_terms(block)}")
-        print(f"sets_equal: {check.equal}")
-    else:
-        _emit(out)
-    return EXIT_OK if check.equal else EXIT_UNFAITHFUL
-
-
-def cmd_partition_check(args: argparse.Namespace) -> int:
+def cmd_partition_check(args: argparse.Namespace) -> Result:
     parts, check, sets = _check_parts(args)
+    combined = check.block_decomposition.combined
     out = {
         "m": str(args.m),
         "n": str(args.n),
         "parts": [str(p) for p in parts],
-        "decomposition": to_json_dict(check.block_decomposition.combined),
+        "decomposition": to_json_dict(combined),
         **sets,
         "s_covers_t": check.s_covers_t,
     }
-    if args.format == "text":
-        print(_render(check.block_decomposition.combined))
-        print(f"S ({len(check.s)} values) == T ({len(check.t)} values): {check.equal}")
-    else:
-        _emit(out)
-    return EXIT_OK if check.equal else EXIT_UNFAITHFUL
+    sizes = f"S ({len(check.s)} values) == T ({len(check.t)} values)"
+    lines = [_render(combined), f"{sizes}: {check.equal}"]
+    return EXIT_OK if check.equal else EXIT_UNFAITHFUL, out, lines
 
 
-_TABLE_COLUMNS = ["n", "x", "y", "z", "r", "case", "verified"]
-
-
-def _table_rows_four_over_n(n_lo: int, n_hi: int, cap: int):
-    for n in range(n_lo, n_hi + 1):
-        if n < 5 or n % 2 == 0:
-            continue
-        built = theorem4(n)
-        d = built.decomposition
-        report_ok = _certify(d, cap)[1]
-        dens = d.denominators
-        r = max(d.numerators)
-        yield {
-            "n": str(n),
-            "x": str(dens[0]),
-            "y": str(dens[1]),
-            "z": str(dens[2]),
-            "r": str(r),
-            "case": built.trace.branch,
-            "verified": report_ok,
-        }
-
-
-def _table_rows_prop7(m: int, n_lo: int, n_hi: int, cap: int):
-    for n in range(n_lo, n_hi + 1):
-        if n <= m or gcd(m, n) != 1:
-            continue
-        built = prop7(m, n)
-        d = built.decomposition
-        verified = verify(d, cap=cap).faithful
-        dens = d.denominators
-        r = (-2 * n) % m
-        yield {
-            "n": str(n),
-            "x": str(dens[0]),
-            "y": str(dens[1]),
-            "z": str(dens[2]),
-            "r": str(r),
-            "case": built.trace.branch,
-            "verified": verified,
-            "predicted": built.trace.predicted_faithful,
-        }
-
-
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> Result:
+    columns = ["n", "x", "y", "z", "r", "case", "verified"]
     if args.kind == "four-over-n":
         if args.m is not None:
-            return _fail("--m does not apply to --kind four-over-n")
-        rows = _table_rows_four_over_n(args.n_min, args.n_max, args.cap)
-        columns = list(_TABLE_COLUMNS)
+            raise ValueError("--m does not apply to --kind four-over-n")
+    elif args.m is None or args.m < 3:
+        raise ValueError("--kind prop7 needs --m >= 3")
     else:
-        if args.m is None or args.m < 3:
-            return _fail("--kind prop7 needs --m >= 3")
-        rows = _table_rows_prop7(args.m, args.n_min, args.n_max, args.cap)
-        columns = list(_TABLE_COLUMNS) + ["predicted"]
-    materialized = list(rows)
-    if args.format == "json":
-        _emit({"columns": columns, "rows": materialized})
-        return EXIT_OK
-    # csv (default) and text share the comma layout; booleans print lowercase.
-    print(",".join(columns))
-    for row in materialized:
-        print(",".join(_cell(row[c]) for c in columns))
-    return EXIT_OK
+        columns.append("predicted")
+    m = args.m  # None under --kind four-over-n
+    rows = []
+    for n in range(args.n_min, args.n_max + 1):
+        if m is None:
+            if n < 5 or n % 2 == 0:
+                continue
+            built = theorem4(n)
+            r = max(built.decomposition.numerators)
+        else:
+            if n <= m or gcd(m, n) != 1:
+                continue
+            built = prop7(m, n)
+            r = (-2 * n) % m
+        d = built.decomposition
+        verified = verify(d, cap=args.cap).faithful
+        cells = [*map(str, (n, *d.denominators, r)), built.trace.branch, verified]
+        if m is not None:
+            cells.append(built.trace.predicted_faithful)
+        rows.append(cells)
+    # csv and text share the comma layout; booleans print lowercase.
+    lines = [",".join(columns)]
+    lines += [",".join(json.dumps(c) if isinstance(c, bool) else c for c in row) for row in rows]
+    return EXIT_OK, {"columns": columns, "rows": [dict(zip(columns, row)) for row in rows]}, lines
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _search_dict(result: SearchResult) -> dict[str, Any]:
-    return {
+def cmd_search(args: argparse.Namespace) -> Result:
+    budget = SearchBudget(args.max_length, args.max_den, args.cap)
+    result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
+    out = {
         "target": _frac_dict(result.target),
         "outcomes": [
             {
@@ -336,25 +268,14 @@ def _search_dict(result: SearchResult) -> dict[str, Any]:
         "cap_hit": result.cap_hit,
         "combos_used": str(result.combos_used),
     }
+    lines = []
+    for o in result.outcomes:
+        status = "exhausted, none" if o.exhausted else "cap hit"
+        lines.append(f"length {o.length}: {status if o.found is None else _render(o.found)}")
+    return EXIT_BUDGET if result.cap_hit else EXIT_OK, out, lines
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    budget = SearchBudget(args.max_length, args.max_den, args.cap)
-    result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
-    if args.format == "text":
-        for o in result.outcomes:
-            if o.found is not None:
-                print(f"length {o.length}: {_render(o.found)}")
-            elif o.exhausted:
-                print(f"length {o.length}: exhausted, none")
-            else:
-                print(f"length {o.length}: cap hit")
-    else:
-        _emit(_search_dict(result))
-    return EXIT_BUDGET if result.cap_hit else EXIT_OK
-
-
-def cmd_hunt(args: argparse.Namespace) -> int:
+def cmd_hunt(args: argparse.Namespace) -> Result:
     m_lo, m_hi = _parse_range(args.m)
     report = prop6_discrepancy_scan(range(m_lo, m_hi + 1), range(2, args.n_max + 1))
     out = {
@@ -372,11 +293,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             for i in report.discrepancies
         ],
     }
-    if args.format == "text":
-        print(f"{report.instances} instances, {len(report.discrepancies)} discrepancies")
-    else:
-        _emit(out)
-    return EXIT_OK if not report.discrepancies else EXIT_UNFAITHFUL
+    lines = [f"{report.instances} instances, {len(report.discrepancies)} discrepancies"]
+    return EXIT_OK if not report.discrepancies else EXIT_UNFAITHFUL, out, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--parts", help="partition: comma-separated partition of m")
     p_dec.add_argument("--seed", type=int, help="theorem2: skip this many admissible primes (default 0)")
     p_dec.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_dec.add_argument("--trace", action="store_true", help="include construction trace")
+    p_dec.add_argument("--trace", action="store_true", default=None, help="include construction trace")
     p_dec.add_argument("--format", choices=["json", "text"], default="json")
     p_dec.set_defaults(func=cmd_decompose)
 
@@ -446,18 +364,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name in ("cap", "max_length", "max_den"):
-        if getattr(args, name, 1) is not None and getattr(args, name, 1) < 1:
-            return _fail(f"--{name.replace('_', '-')} must be positive")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for name in ("cap", "max_length", "max_den"):
+            if getattr(args, name, 1) < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be positive")
+        code, payload, lines = args.func(args)
     except (CapExceeded, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (argparse.ArgumentTypeError, ValueError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(payload, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

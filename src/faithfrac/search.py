@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .construct import prop7, prop6_condition
 from .model import Decomposition, decomposition
@@ -64,14 +64,21 @@ class SearchResult:
         return None
 
 
-def _colex_sets(pool: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of the pool in colex order: the largest element grows last."""
+def _colex_sets(pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Subsets of the pool in colex order: the largest element grows last.
+
+    The pool is read one element at a time, when a set first needs it, so a
+    consumer that stops early never reads (or stores) the rest.
+    """
     if size == 0:
         yield ()
         return
-    for last in range(size - 1, len(pool)):
-        for rest in _colex_sets(pool[:last], size - 1):
-            yield rest + (pool[last],)
+    seen: list[int] = []
+    for b in pool:
+        if len(seen) >= size - 1:
+            for rest in _colex_sets(seen, size - 1):
+                yield rest + (b,)
+        seen.append(b)
 
 
 def _max_numerator(b: int, n: int) -> int:
@@ -97,7 +104,6 @@ def min_length_search(
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("target must be a positive fraction in lowest terms")
     target = Fraction(m, n)
-    pool = [b for b in range(2, budget.max_denominator + 1) if n % b != 0]
     combos = 0
     cap_hit = False
     outcomes: list[LengthOutcome] = []
@@ -149,6 +155,7 @@ def min_length_search(
         if cap_hit:
             outcomes.append(LengthOutcome(length, None, False))
             continue
+        pool = (b for b in range(2, budget.max_denominator + 1) if n % b != 0)
         sets: Iterable[tuple[int, ...]] = _colex_sets(pool, length)
         if shuffle_seed is not None:
             shuffled = list(sets)

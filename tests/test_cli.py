@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON payloads, CSV tables."""
 
+import hashlib
 import io
 import json
 import sys
@@ -208,6 +209,7 @@ def test_decompose_theorem1_head_past_budget_exits_three(capsys):
         ["4", "9", "--strategy", "prop7", "--parts", "2,2"],
         ["9", "5", "--strategy", "theorem2", "--parts", "4,5"],
         ["5", "7", "--strategy", "partition", "--parts", "2,3", "--omega", "2"],
+        ["5", "7", "--strategy", "partition", "--parts", "2,3", "--trace"],
     ],
 )
 def test_decompose_flag_the_strategy_ignores_is_usage_error(capsys, argv):
@@ -458,3 +460,113 @@ def test_verify_any_json_ends_with_an_exit_code(text):
         sys.stdin = sys_stdin
         sys.set_int_max_str_digits(old)
     assert code in (0, 1, 2, 3)
+
+
+DUPLICATE_DENS = (
+    '{"target":{"num":"4","den":"9"},'
+    '"terms":[{"num":"1","den":"4"},{"num":"1","den":"4"}]}'
+)
+DEC = ["decompose"]
+STRATEGIES = [
+    ["2", "3", "--strategy", "two-term"],
+    ["7", "3", "--strategy", "theorem1"],
+    ["9", "5", "--strategy", "theorem2", "--omega", "2", "--seed", "0"],
+    ["4", "9", "--strategy", "prop7"],
+    ["4", "13", "--strategy", "theorem4"],
+]
+TEXT, JSON = ["--format", "text"], ["--format", "json"]
+PINNED_DIGEST = "2736cfe9c04ab827a05bff2c9a0fad2a1662083929b7d7057b8ad81b91f78ac6"
+# (argv, stdin) for every subcommand and --format value, the usage exits
+# (2) and the budget exits (3).  `--input` paths are relative to a fresh
+# directory that holds d.json.
+PINNED_CALLS = [
+    *[(["verify", *fmt], d) for d in (FOUR_NINTHS, FIVE_SIXTHS) for fmt in ([], TEXT, JSON)],
+    *[(["verify", "--naive", *fmt], d) for d in (FOUR_NINTHS, FIVE_SIXTHS) for fmt in ([], TEXT)],
+    (["verify", "--input", "d.json", "--format", "text"], None),
+    (["verify", "--input", "missing.json"], None),
+    (["verify", "--cap", "2"], FOUR_NINTHS),
+    (["verify", "--cap", "2", "--naive", "--format", "text"], FOUR_NINTHS),
+    (["verify", "--cap", "0"], FOUR_NINTHS),
+    (["verify"], "not json"),
+    (["verify", "--format", "text"], "{"),
+    (["verify"], DUPLICATE_DENS),
+    (["verify"], '{"target":{"num":"1","den":"2"},"terms":[]}'),
+    *[(DEC + s + fmt, None) for s in STRATEGIES for fmt in ([], TEXT, ["--trace"], ["--trace", *TEXT])],
+    *[(DEC + ["5", "7", "--strategy", "partition", "--parts", p, *fmt], None)
+      for p in ("2,3", "1,4") for fmt in ([], TEXT)],
+    (DEC + ["4", "9", "--strategy", "partition", "--parts", "2,1,1"], None),
+    (DEC + ["9", "5", "--strategy", "theorem2"], None),
+    (DEC + ["4", "9", "--strategy", "theorem4", *TEXT], None),
+    (DEC + ["4", "5", "--strategy", "theorem4"], None),
+    (DEC + ["3", "8", "--strategy", "prop7", *TEXT], None),
+    (DEC + ["7", "3", "--strategy", "theorem1", "--omega", "5"], None),
+    (DEC + ["4", "9", "--strategy", "prop7", "--parts", "2,2"], None),
+    (DEC + ["4", "13", "--strategy", "theorem4", "--seed", "0"], None),
+    (DEC + ["5", "7", "--strategy", "partition", "--parts", "2,3", "--omega", "2"], None),
+    (DEC + ["9", "5", "--strategy", "theorem2", "--omega", ""], None),
+    (DEC + ["9", "5", "--strategy", "theorem2", "--omega", "a"], None),
+    (DEC + ["5", "9", "--strategy", "theorem4"], None),
+    (DEC + ["5", "7", "--strategy", "partition"], None),
+    (DEC + ["5", "7", "--strategy", "partition", "--parts", "2,2"], None),
+    (DEC + ["1", "7", "--strategy", "two-term"], None),
+    (DEC + ["2", "3", "--strategy", "two-term", "--cap", "0"], None),
+    (DEC + ["100001", "1", "--strategy", "theorem1"], None),
+    (DEC + ["9", "2", "--strategy", "theorem2", *TEXT], None),
+    (DEC + ["4", "9", "--strategy", "prop7", "--cap", "2"], None),
+    *[(["table", "--kind", "four-over-n", "--n-max", "21", *fmt], None)
+      for fmt in ([], ["--format", "csv"], JSON, TEXT)],
+    *[(["table", "--kind", "prop7", "--m", m, "--n-min", "4", "--n-max", "20", *fmt], None)
+      for m in ("3", "5") for fmt in ([], JSON, TEXT)],
+    (["table", "--kind", "four-over-n", "--n-min", "10", "--n-max", "9", *JSON], None),
+    (["table", "--kind", "four-over-n", "--m", "3", "--n-max", "7"], None),
+    (["table", "--kind", "prop7", "--m", "2", "--n-max", "10"], None),
+    (["table", "--kind", "prop7", "--n-max", "10"], None),
+    (["table", "--kind", "prop7", "--m", "3", "--n-max", "10", "--cap", "0"], None),
+    (["table", "--kind", "prop7", "--m", "3", "--n-max", "10", "--cap", "2"], None),
+    *[(["partition-check", "5", "7", "--parts", p, *fmt], None)
+      for p in ("2,3", "1,4") for fmt in ([], TEXT)],
+    (["partition-check", "6", "11", "--parts", "1,2,3", *TEXT], None),
+    (["partition-check", "4", "9", "--parts", "2,1,1"], None),
+    (["partition-check", "7", "3", "--parts", "4,3", *TEXT], None),
+    (["partition-check", "2", "4", "--parts", "1,1"], None),
+    (["partition-check", "5", "7", "--parts", "2,3", "--cap", "5"], None),
+    (["partition-check", "5", "7", "--parts", "2,x"], None),
+    (["partition-check", "5", "7", "--parts", "2,4"], None),
+    *[(["search", *target, *fmt], None)
+      for target in (["7", "3", "--max-length", "3", "--max-den", "30"],
+                     ["2", "3", "--max-length", "2", "--max-den", "10"],
+                     ["7", "3", "--max-length", "4", "--max-den", "20", "--cap", "3000"])
+      for fmt in ([], TEXT)],
+    (["search", "2", "3", "--max-length", "3", "--max-den", "12", "--shuffle", "1"], None),
+    (["search", "2", "3", "--max-length", "0", "--max-den", "10"], None),
+    (["search", "2", "3", "--max-length", "2", "--max-den", "0"], None),
+    (["search", "2", "3", "--max-length", "2", "--max-den", "1"], None),
+    (["search", "2", "4", "--max-length", "2", "--max-den", "10"], None),
+    *[(["hunt", "--m", m, "--n-max", "40", *fmt], None) for m in ("3..4", "5", "5..3") for fmt in ([], TEXT)],
+    (["hunt", "--m", "abc", "--n-max", "40"], None),
+    (["hunt", "--m", "3..x", "--n-max", "40", *TEXT], None),
+]
+
+
+def _pinned_digest():
+    h = hashlib.sha256()
+    sys_stdin = sys.stdin
+    try:
+        for argv, stdin in PINNED_CALLS:
+            sys.stdin = io.StringIO(stdin or "")
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            h.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode() + b"\n")
+    finally:
+        sys.stdin = sys_stdin
+    return h.hexdigest()
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
+    # Every stdout byte, stderr message and exit code of the grid, as the
+    # CLI printed them before its commands returned payloads to `main`.
+    (tmp_path / "d.json").write_text(FOUR_NINTHS)
+    monkeypatch.chdir(tmp_path)
+    assert len(PINNED_CALLS) >= 100
+    assert _pinned_digest() == PINNED_DIGEST

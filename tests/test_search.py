@@ -1,5 +1,6 @@
 """Bounded exhaustive search and the three-term condition scanner."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -55,6 +56,19 @@ def test_cap_exhaustion_reports_partial_result():
     assert result.witness is None
     assert not result.outcomes[-1].exhausted
     assert result.combos_used >= 50_000
+
+
+def test_cap_bounds_memory_whatever_the_denominator_bound():
+    # The denominator pool is read only as far as the cap lets the search
+    # go; listing it up front took 38 MB at this bound.
+    tracemalloc.start()
+    try:
+        result = min_length_search(3, 2, SearchBudget(2, 10**6, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cap_hit
+    assert peak < 2**20
 
 
 def test_shuffle_changes_order_not_verdict():
