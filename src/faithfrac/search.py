@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Iterator
+from math import comb, gcd, lcm
+from typing import Callable, Iterable, Iterator
 
 from .construct import prop7, prop6_condition
 from .model import Decomposition, decomposition
@@ -81,6 +81,43 @@ def _colex_sets(pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
         seen.append(b)
 
 
+def _colex_unrank(rank: int, size: int) -> tuple[int, ...]:
+    """The size-subset of 0, 1, 2, ... that _colex_sets yields at this rank.
+
+    Colex rank is sum(comb(c_i, i)) over the members c_1 < ... < c_size, so
+    each member, largest first, is the largest c with comb(c, i) <= rank.
+    """
+    members: list[int] = []
+    for i in range(size, 0, -1):
+        lo, hi = i - 1, rank + i
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if comb(mid, i) <= rank:
+                lo = mid
+            else:
+                hi = mid - 1
+        members.append(lo)
+        rank -= comb(lo, i)
+    return tuple(reversed(members))
+
+
+def _sampled_sets(
+    total: int, size: int, seed: int, member: Callable[[int], int]
+) -> Iterator[tuple[int, ...]]:
+    """The total colex ranks drawn at random without replacement, read lazily.
+
+    Stopped after k sets, this is the first k of a uniform shuffle of all of
+    them, but it stores only the k ranks drawn.
+    """
+    rng = random.Random(seed)
+    drawn: set[int] = set()
+    while len(drawn) < total:
+        rank = rng.randrange(total)
+        if rank not in drawn:
+            drawn.add(rank)
+            yield tuple(map(member, _colex_unrank(rank, size)))
+
+
 def _max_numerator(b: int, n: int) -> int:
     # Largest a with a*gcd(b, n) < b; at least 1 when b does not divide n.
     return (b - 1) // gcd(b, n)
@@ -99,11 +136,33 @@ def min_length_search(
     assigned by backtracking over integer numerators with common denominator
     D = lcm(n, b_i), pruned by each set's remaining-sum intervals.  Per
     length, the first faithful candidate stops the scan; exhausted means the
-    whole bounded space was covered without a cap break.
+    whole bounded space was covered without a cap break.  A shuffled length
+    with more sets than the combos left can enter (each costs at least one)
+    cannot be exhausted, so its sets are drawn at random as needed instead
+    of being listed and shuffled.
     """
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("target must be a positive fraction in lowest terms")
     target = Fraction(m, n)
+    B = budget.max_denominator
+
+    def in_pool(b: int) -> bool:
+        # The denominator pool is 2..B less the divisors of n.
+        return n % b != 0
+
+    if shuffle_seed is not None:
+        # The pool's size, and its i-th member, for sets drawn by rank.
+        skipped = [b for b in range(2, min(n, B) + 1) if not in_pool(b)]
+        pool_size = B - 1 - len(skipped)
+
+        def member(i: int) -> int:
+            b = i + 2
+            for s in skipped:
+                if s > b:
+                    break
+                b += 1
+            return b
+
     combos = 0
     cap_hit = False
     outcomes: list[LengthOutcome] = []
@@ -155,12 +214,17 @@ def min_length_search(
         if cap_hit:
             outcomes.append(LengthOutcome(length, None, False))
             continue
-        pool = (b for b in range(2, budget.max_denominator + 1) if n % b != 0)
-        sets: Iterable[tuple[int, ...]] = _colex_sets(pool, length)
+        sets: Iterable[tuple[int, ...]] = _colex_sets(filter(in_pool, range(2, B + 1)), length)
         if shuffle_seed is not None:
-            shuffled = list(sets)
-            random.Random(shuffle_seed).shuffle(shuffled)
-            sets = shuffled
+            # A set is entered only while combos <= cap and costs at least
+            # one combo, so at most cap - combos + 1 sets are ever entered.
+            total = comb(pool_size, length)
+            if total > budget.combo_cap - combos + 1:
+                sets = _sampled_sets(total, length, shuffle_seed, member)
+            else:
+                shuffled = list(sets)
+                random.Random(shuffle_seed).shuffle(shuffled)
+                sets = shuffled
         found: Decomposition | None = None
         for dens in sets:
             D = lcm(n, *dens)

@@ -85,7 +85,9 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     coefficient fastest).  Refuses instances whose full lattice exceeds cap.
     Membership is tested in its own integer arithmetic, apart from the fast
     path's: over L = lcm(b_i) a vector's value is num / L, and it lies in
-    (1/n)Z exactly when num * n % L == 0.
+    (1/n)Z exactly when num * n % L == 0.  The vectors come in rows, one per
+    setting of the other coefficients, along which x_1 runs from 0 to a_1
+    and num steps by L / b_1 from the row's base.
     """
     _checked(d)
     m, n = d.target.numerator, d.target.denominator
@@ -93,21 +95,30 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     total = prod(a + 1 for a in bounds)
     if total > cap:
         raise CapExceeded(f"naive lattice has {total} points, cap is {cap}; use verify")
+    if not bounds:
+        return FaithfulnessReport(True, None, 1, "naive")  # the one, empty, vector
     # Coefficient x_i contributes x_i copies of 1/b_i, not multiples of a_i/b_i:
     # x_i * (L // b_i) to the numerator over L.
     L = lcm(*(t.den for t in d.terms))
     mL = m * L
+    first, *rest = d.terms
+    step = L // first.den
+    width = first.num + 1
+    span = width * step
     combos = 0
-    # itertools.product varies its last factor fastest; feeding it the bounds
-    # reversed makes the first coefficient the fastest-moving one, so each
-    # vector arrives reversed and is paired with the shares in reverse.
-    rshares = [L // t.den for t in reversed(d.terms)]
-    for rev in iproduct(*[range(a + 1) for a in reversed(bounds)]):
-        combos += 1
-        num = sum(map(mul, rev, rshares))
-        if num and num * n % L == 0 and num * n != mL:
-            violation = Violation(rev[::-1], Fraction(num, L))
-            return FaithfulnessReport(False, violation, combos, "naive")
+    # itertools.product varies its last factor fastest; feeding it the other
+    # coefficients' bounds reversed makes x_2 the fastest from row to row, so
+    # each row's setting arrives reversed and is paired with the shares in
+    # reverse.
+    rshares = [L // t.den for t in reversed(rest)]
+    for rev in iproduct(*[range(t.num + 1) for t in reversed(rest)]):
+        base = sum(map(mul, rev, rshares))
+        for num in range(base, base + span, step):
+            if not num * n % L and num and num * n != mL:
+                x = (num - base) // step
+                violation = Violation((x, *rev[::-1]), Fraction(num, L))
+                return FaithfulnessReport(False, violation, combos + x + 1, "naive")
+        combos += width
     return FaithfulnessReport(True, None, combos, "naive")
 
 

@@ -70,6 +70,16 @@ def test_verify_naive_oracle_flag(capsys, monkeypatch):
     assert payload["combos_examined"] == "8"
 
 
+def test_verify_naive_on_the_empty_decomposition(capsys, monkeypatch):
+    # The vacuous sum for target 0: one (empty) vector examined, faithful.
+    stdin = '{"target":{"num":"0","den":"1"},"terms":[]}'
+    assert run(["verify", "--naive"], capsys, stdin, monkeypatch) == (
+        0,
+        '{"faithful":true,"method":"naive","combos_examined":"1","violation":null}\n',
+        "",
+    )
+
+
 def test_verify_text_format(capsys, monkeypatch):
     code, out, _ = run(["verify", "--format", "text"], capsys, FOUR_NINTHS, monkeypatch)
     assert code == 0

@@ -2,14 +2,16 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from faithfrac import (
+    LengthOutcome,
     SearchBudget,
     min_length_search,
     prop6_discrepancy_scan,
+    search,
     theorem1,
     verify,
 )
@@ -69,6 +71,72 @@ def test_cap_bounds_memory_whatever_the_denominator_bound():
         tracemalloc.stop()
     assert result.cap_hit
     assert peak < 2**20
+
+
+def test_shuffle_bounds_memory_when_the_cap_must_trip():
+    # The C(1498, 2) sets of length 2 outnumber the 3,503 that the combos
+    # left after length 1 can enter, so they are drawn as needed instead of
+    # listed (94 MB RSS when listed).
+    tracemalloc.start()
+    try:
+        result = min_length_search(7, 3, SearchBudget(2, 1500, 5000), shuffle_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cap_hit
+    assert [o.exhausted for o in result.outcomes] == [True, False]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "budget, drawn",
+    [
+        # Length 1: each of the B - 2 sets of 7/3 costs one combo, and a cap
+        # of 10 lets 11 be entered: 11 sets are listed (and exhausted), 12 not.
+        (SearchBudget(1, 13, 10), False),
+        (SearchBudget(1, 14, 10), True),
+        # Length 2: length 1 spent 5, so a cap of 14 lets 10 of the C(5, 2)
+        # sets be entered and a cap of 13 only 9.
+        (SearchBudget(2, 7, 14), False),
+        (SearchBudget(2, 7, 13), True),
+    ],
+)
+def test_shuffle_draws_the_sets_of_a_length_only_when_it_cannot_be_exhausted(
+    budget, drawn, monkeypatch
+):
+    calls, sets = [], []
+
+    def spy(*args):
+        calls.append(args)
+        for dens in sampled_sets(*args):
+            sets.append(dens)
+            yield dens
+
+    sampled_sets = search._sampled_sets
+    monkeypatch.setattr(search, "_sampled_sets", spy)
+    shuffled = min_length_search(7, 3, budget, shuffle_seed=1)
+    assert bool(calls) == drawn
+    # Drawn sets are distinct and hold only denominators of the pool.
+    assert len(set(sets)) == len(sets)
+    assert all(2 <= b <= budget.max_denominator and b != 3 for dens in sets for b in dens)
+    # No witness exists, so the order changes no verdict.
+    assert outcome_pairs(shuffled) == outcome_pairs(min_length_search(7, 3, budget))
+
+
+def test_sampled_sets_are_every_set_once_in_a_new_order():
+    colex = list(search._colex_sets(range(2, 10), 3))
+    drawn = list(search._sampled_sets(comb(8, 3), 3, 1, lambda i: i + 2))
+    assert sorted(drawn) == sorted(colex)
+    assert drawn != colex
+
+
+def test_shuffle_still_finds_a_witness_in_a_length_it_cannot_exhaust():
+    # C(37, 2) = 666 sets of length 2 against a cap of 500.
+    result = min_length_search(3, 4, SearchBudget(2, 40, 500), shuffle_seed=1)
+    assert not result.cap_hit
+    assert result.outcomes[-1] == LengthOutcome(2, result.witness, False)
+    assert result.witness.target == Fraction(3, 4)
+    assert verify(result.witness).faithful
 
 
 def test_shuffle_changes_order_not_verdict():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from faithfrac import (
     DEFAULT_CAP,
     CapExceeded,
+    Decomposition,
     FaithfulnessReport,
     PartitionSpec,
     Violation,
@@ -33,6 +34,7 @@ from faithfrac import (
     verify,
     verify_naive,
 )
+from pools import generated_pool
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 120}
 
@@ -270,8 +272,6 @@ def test_partial_sums_unfaithful_case():
 
 
 def test_partial_sums_empty_decomposition():
-    from faithfrac import Decomposition
-
     assert partial_sums_in_ideal(Decomposition(Fraction(0), ())) == {Fraction(0)}
 
 
@@ -355,7 +355,7 @@ def oracle_inputs(draw):
     pairs = [(draw(st.integers(min_value=1, max_value=6)), b) for b in dens]
     if prod(a + 1 for a, _ in pairs) > 3000:
         pairs = [(1, b) for _, b in pairs]
-    return decomposition(sum(Fraction(a, b) for a, b in pairs), pairs)
+    return of_pairs(pairs)
 
 
 @given(oracle_inputs())
@@ -366,6 +366,82 @@ def oracle_inputs(draw):
 @settings(**HYP_SETTINGS)
 def test_integer_oracle_matches_fraction_sums(d):
     assert verify_naive(d) == fraction_oracle(d)
+
+
+def test_empty_decomposition_is_pinned():
+    # The oracle examines the one, empty, vector; the walk examines nothing.
+    d = Decomposition(Fraction(0), ())
+    assert verify_naive(d) == FaithfulnessReport(True, None, 1, "naive")
+    assert verify(d) == FaithfulnessReport(True, None, 0, "congruence")
+
+
+@st.composite
+def long_row_inputs(draw):
+    """The oracle's rows are as long as its first numerator plus one.
+
+    A two_term output x/y + 1/(n*y), whose two rows of x + 1 vectors hold no
+    point of (1/n)Z but 0 and m/n, with up to two terms 1..3/c added (which
+    put hits inside later rows), and with the terms in order or reversed, so
+    that the long coefficient moves fastest or slowest.
+    """
+    n = draw(st.integers(min_value=3, max_value=1500))
+    m = draw(st.sampled_from([m for m in range(2, n) if gcd(m, n) == 1]))
+    pairs = [(t.num, t.den) for t in two_term(m, n).decomposition.terms]
+    for c in draw(st.lists(st.integers(min_value=2, max_value=60), max_size=2, unique=True)):
+        if c not in (b for _, b in pairs) and prod(a + 1 for a, _ in pairs) <= 1000:
+            pairs.append((draw(st.integers(min_value=1, max_value=3)), c))
+    if draw(st.booleans()):
+        pairs.reverse()
+    return of_pairs(pairs)
+
+
+@given(long_row_inputs())
+# Hits at a row's end: (400, 0) ends the first row, (48, 0, 1) the third,
+# (26, 1, 0) the second and, with the long coefficient last, (4, 87) the 88th.
+@example(of_pairs([(400, 800), (1, 7)]))
+@example(of_pairs([(4, 16), (319, 580)]))
+@example(of_pairs([(48, 144), (1, 39), (2, 33)]))
+@example(of_pairs([(26, 52), (1, 30), (3, 21)]))
+@settings(deadline=None, max_examples=40)
+def test_integer_oracle_matches_fraction_sums_on_long_rows(d):
+    assert verify_naive(d) == fraction_oracle(d)
+
+
+def _oracle_grid():
+    """1,000 seeded 1-6-term decompositions as oracle_inputs draws them,
+    300 two_term outputs with one or two terms added, in order and reversed,
+    the empty decomposition, and the entries of the acceptance suite's
+    seed-1811 pool whose lattice has at most 1e4 points."""
+    rng = random.Random(10)
+    cases = [Decomposition(Fraction(0), ())]
+    for _ in range(1000):
+        dens = rng.sample(range(1, 61), rng.randint(1, 6))
+        pairs = [(rng.randint(1, 6), b) for b in dens]
+        if prod(a + 1 for a, _ in pairs) > 3000:
+            pairs = [(1, b) for _, b in pairs]
+        cases.append(of_pairs(pairs))
+    while len(cases) < 1601:
+        n = rng.randint(3, 3000)
+        m = rng.randint(2, n - 1)
+        if gcd(m, n) != 1:
+            continue
+        pairs = [(t.num, t.den) for t in two_term(m, n).decomposition.terms]
+        pairs += [(rng.randint(1, 2), c) for c in rng.sample(range(2, 30), rng.randint(1, 2))]
+        if len({b for _, b in pairs}) == len(pairs) and prod(a + 1 for a, _ in pairs) <= 10**4:
+            cases += [of_pairs(pairs), of_pairs(pairs[::-1])]
+    pool = generated_pool(random.Random(1811), 500)
+    return cases + [d for d in pool if prod(t.num + 1 for t in d.terms) <= 10**4]
+
+
+def test_oracle_outputs_are_pinned():
+    # sha256 of every verify_naive report over the grid, at the default cap
+    # and at a cap of 100 (where larger lattices are refused up front): pins
+    # the verdicts, the violations, combos_examined and the refusal text.
+    h = hashlib.sha256()
+    for d in _oracle_grid():
+        for cap in (DEFAULT_CAP, 100):
+            h.update(f"{_outcome(verify_naive, d, cap)}\n".encode())
+    assert h.hexdigest() == "a86105bef8c644d1551bd7324e86bbc092bee3ed74a93b29d560db6f432e724b"
 
 
 @st.composite
