@@ -76,12 +76,18 @@ def validate(d: Decomposition) -> list[str]:
 
     The empty decomposition is accepted only for target 0 (the vacuous sum).
     """
+    return _audit(d)[0]
+
+
+def _audit(d: Decomposition) -> tuple[list[str], int]:
+    """validate's problems, with the L = lcm(b_i) the sum check clears
+    denominators over (1 for no terms), for callers that go on to use L."""
     problems: list[str] = []
     m, n = d.target.numerator, d.target.denominator
     if not d.terms:
         if m != 0:
             problems.append("sum mismatch")
-        return problems
+        return problems, 1
     if m <= 0:
         problems.append("nonpositive target")
     dens = d.denominators
@@ -91,7 +97,7 @@ def validate(d: Decomposition) -> list[str]:
     L = lcm(*dens)
     if sum(t.num * (L // t.den) for t in d.terms) * n != m * L:
         problems.append("sum mismatch")
-    return problems
+    return problems, L
 
 
 def scale(d: Decomposition, c: int) -> Decomposition:

@@ -12,11 +12,11 @@ coprime parts, each involving only the terms whose weight L / b_i it does
 not divide.  Terms of several parts are enumerated; each part then solves
 its widest coefficient x_k by congruence and walks the rest jointly.  A
 part whose walk has more points than the cap raises CapExceeded before
-anything is enumerated.  The walk is one loop nest over plain per-part
-data, and hands every in-ideal point with its integer numerator over L to
-a visitor: verify keeps the colex-minimal point whose value is neither 0
-nor m/n, partial_sums_in_ideal the distinct numerators.  Each builds a
-Fraction only for what it returns.
+anything is enumerated.  The walk hands a visitor one row at a time: a
+setting of every coefficient but x_k, with the range of x_k in the ideal.
+verify keeps the colex-minimal point that is neither 0 nor m/n (a row's
+first or second), partial_sums_in_ideal the distinct numerators over L;
+each builds a Fraction only for what it returns.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
-from typing import Iterator
 
-from .model import Decomposition, validate
+from .model import Decomposition, _audit
 from .numeric import coprime_parts
 
 __all__ = [
@@ -42,6 +41,8 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+_OVER = "combination evaluations exceeded cap {}"
+_OUTSIDE = "congruence produced a value outside (1/n)Z"
 
 
 class CapExceeded(RuntimeError):
@@ -72,10 +73,12 @@ class FaithfulnessReport:
     method: str
 
 
-def _checked(d: Decomposition) -> None:
-    problems = validate(d)
+def _checked(d: Decomposition) -> int:
+    """L = lcm(b_i) of a well-formed d (1 for no terms); ValueError otherwise."""
+    problems, L = _audit(d)
     if problems:
         raise ValueError(f"invalid decomposition: {', '.join(problems)}")
+    return L
 
 
 def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
@@ -89,7 +92,7 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     setting of the other coefficients, along which x_1 runs from 0 to a_1
     and num steps by L / b_1 from the row's base.
     """
-    _checked(d)
+    L = _checked(d)
     m, n = d.target.numerator, d.target.denominator
     bounds = [t.num for t in d.terms]
     total = prod(a + 1 for a in bounds)
@@ -99,7 +102,6 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
         return FaithfulnessReport(True, None, 1, "naive")  # the one, empty, vector
     # Coefficient x_i contributes x_i copies of 1/b_i, not multiples of a_i/b_i:
     # x_i * (L // b_i) to the numerator over L.
-    L = lcm(*(t.den for t in d.terms))
     mL = m * L
     first, *rest = d.terms
     step = L // first.den
@@ -122,19 +124,11 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     return FaithfulnessReport(True, None, combos, "naive")
 
 
-def _iter_assignments(
-    bounds: list[int], weights: list[int], W: int, start: int = 0
-) -> Iterator[tuple[list[int], int]]:
-    """Yield (digits, residue) over the mixed-radix lattice.
-
-    The digits list is reused in place; callers must copy it on a hit.  The
-    residue is start + sum(digits[i] * weights[i]) mod W, maintained
-    incrementally; start lies in [0, W).
-    """
+def _iter_assignments(bounds: list[int], weights: list[int], W: int, start: int = 0):
+    """Yield (digits, residue) over the mixed-radix lattice, last digit
+    fastest.  The digits list is reused in place.  The residue is start +
+    sum(digits[i] * weights[i]) mod W, kept incrementally; 0 <= start < W."""
     d = len(bounds)
-    if d == 0:
-        yield [], start
-        return
     digits = [0] * d
     prefix = [start] * (d + 1)
     while True:
@@ -162,160 +156,162 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     term.  W stays whole when its basis (about k**2 gcds for k terms) costs
     more than the rest lattice it could shrink, or the split is no cheaper.
     """
-    terms = range(len(bounds))
-    single = [W], [], [list(terms)]
+    single = [W], [], [list(range(len(bounds)))]
     rest = prod(map((1).__add__, bounds)) // (max(bounds) + 1)
     if W == 1 or rest <= len(bounds) ** 2:
         return single
+    size = [a + 1 for a in bounds].__getitem__
     # q divides weight w exactly when q is coprime to W // gcd(w, W), which
     # is small for most terms, unlike w.
     cofactors = [W // gcd(w, W) for w in weights]
     parts = coprime_parts(W, cofactors)
-    owners = [[q for q in parts if gcd(q, c) > 1] for c in cofactors]
-    lonely = [q for q in parts if [q] not in owners]
-    parts = [q for q in parts if q not in lonely]
-    if not parts:
+    # One pass over the terms: those of exactly one part are its own.
+    private: list[list[int]] = [[] for _ in parts]
+    mixed = []  # (term, its parts) for terms of no part or of several
+    for i, c in enumerate(cofactors):
+        owners = [j for j, q in enumerate(parts) if gcd(q, c) > 1]
+        if len(owners) == 1:
+            private[owners[0]].append(i)
+        else:
+            mixed.append((i, owners))
+    kept = [j for j, ts in enumerate(private) if ts]
+    if not kept:
         return single
-    if lonely:
-        parts[-1] *= prod(lonely)
-        owners = [[q for q in parts if gcd(q, c) > 1] for c in cofactors]
-    shared = [i for i in terms if len(owners[i]) > 1]
-    private = [[i for i in terms if owners[i] == [q]] for q in parts]
-    private[-1] = [i for i in terms if owners[i] in ([], [parts[-1]])]
-    walks = sum(prod(bounds[i] + 1 for i in ts) // (max(bounds[i] for i in ts) + 1) for ts in private)
-    return (parts, shared, private) if prod(bounds[i] + 1 for i in shared) * walks < rest else single
+    # The parts with no term of their own fold into the last part that has
+    # one, which takes every term whose parts all fold (none included).
+    folded = {j for j, ts in enumerate(private) if not ts} | {kept[-1]}
+    parts = [parts[j] for j in kept[:-1]] + [prod(parts[j] for j in folded)]
+    private = [private[j] for j in kept]
+    private[-1] = sorted(private[-1] + [i for i, owners in mixed if folded.issuperset(owners)])
+    shared = [i for i, owners in mixed if not folded.issuperset(owners)]
+    walks = sum(prod(map(size, ts)) // max(map(size, ts)) for ts in private)
+    return (parts, shared, private) if prod(map(size, shared)) * walks < rest else single
 
 
-def _scan(d: Decomposition, cap: int, visit) -> tuple[int, int]:
-    """Walk every in-ideal lattice point of a non-empty decomposition.
-
-    Calls visit(vec, num) once per point, whose value is num / L with
-    L = lcm(b_i).  vec is one list the walk rewrites in place, so a visitor
-    that keeps it must copy it.  Returns (combos_examined, L).  Under each
-    assignment of the shared terms every part but the last lists its
-    solutions; each row of the last part's walk is then multiplied out with
-    those lists and visited.
-    """
+def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
+    """Walk the in-ideal points of a non-empty decomposition by rows, with
+    L = lcm(b_i); returns combos_examined.  Calls visit(vec, k, cands, b, s_k)
+    per row: vec holds every coefficient but x_k (one list rewritten in place;
+    vec[k] is the visitor's), cands is the range of x_k in the ideal, and
+    b + x_k * s_k the numerators over L.  Under each shared assignment, every
+    part but the last lists its solutions, and each row of the last part
+    comes once per combination."""
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
-    dens = [t.den for t in d.terms]
-    L = lcm(*dens)
     W = L // gcd(L, n)
     # A point's value is sum(x_i * shares[i]) / L, exact in integers.
-    shares = [L // b for b in dens]
+    shares = [L // t.den for t in d.terms]
     weights = [s % W for s in shares]
     parts, shared, private = _plan(W, weights, bounds)
-    # Part q walks its terms but the widest, k, from the residue s (mod q)
-    # the shared terms leave, and solves w_k * x_k == -r (mod q) for each
-    # residue r the walk reaches: solvable when r == 0 (mod g), g =
-    # gcd(w_k, q), by every x_k == -(r / g) * inv (mod step) in [0, a_k].
-    # A walk past the cap is refused before anything is enumerated.
-    solvers = []
-    for q, ts in zip(parts, private):
+
+    def solver(q: int, ts: list[int]):
+        # Part q walks its terms but the widest, k, from the residue s (mod
+        # q) the shared terms leave, and solves w_k * x_k == -r (mod q) for
+        # each residue r the walk reaches: solvable when r == 0 (mod g), g =
+        # gcd(w_k, q), by every x_k == -(r / g) * inv (mod step) in [0, a_k].
+        # A walk past the cap is refused before anything is enumerated.
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
         rest_bounds = [bounds[i] for i in rest]
-        walk = prod(a + 1 for a in rest_bounds)
+        walk = prod(map((1).__add__, rest_bounds))
         if walk > cap:
             raise CapExceeded(f"walk of {walk} points exceeds cap {cap}")
-        g = gcd(weights[k], q)
-        step = q // g
+        step = q // (g := gcd(weights[k], q))
         inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
         rest_weights = [weights[i] % q for i in rest]
-        rest_shares = [shares[i] for i in rest]
-        # slot lists the part's coefficients in the order its solutions do.
-        slot = rest + [k]
-        solvers.append((q, slot, rest_bounds, rest_weights, rest_shares, g, step, inv, bounds[k] + 1, shares[k]))
-    *others, (q, slot, rest_bounds, rest_weights, rest_shares, g, step, inv, top, s_k) = solvers
-    *rest, k = slot
-    slots = [slot_j for _, slot_j, *_ in others]
-    over = f"combination evaluations exceeded cap {cap}"
+        return q, rest, rest_bounds, rest_weights, [shares[i] for i in rest], g, step, inv, walk, k, bounds[k] + 1, shares[k]
+
+    others = [solver(q, ts) for q, ts in zip(parts[:-1], private[:-1])]
+    q, rest, rest_bounds, rest_weights, rest_shares, g, step, inv, walk, k, top, s_k = solver(parts[-1], private[-1])
+    # Every visited point is in (1/n)Z: each row's first point is checked, and here its step.
+    if step * s_k * n % L:
+        raise RuntimeError(_OUTSIDE)
     vec = [0] * len(bounds)
+    slots = [[*rest_j, k_j] for _, rest_j, *_, k_j, _, _ in others]  # as their solutions list them
+
+    def rows(start: int, base: int, sols: list) -> int:
+        # The last part's walk from residue start, its numerators offset by
+        # base; returns the combinations it examined.
+        copies = prod(map(len, sols))
+        walked = walk
+        for xs, r in _iter_assignments(rest_bounds, rest_weights, q, start):
+            cands = range(0) if r % g else range(-(r // g) * inv % step, top, step)
+            if cands:
+                walked += len(cands) * copies
+                if walked > cap:
+                    raise CapExceeded(_OVER.format(cap))
+                for i, x in zip(rest, xs):
+                    vec[i] = x
+                b = base + sum(map(mul, xs, rest_shares))
+                # Once per combination of the other parts' solutions, written into vec.
+                for combo in iproduct(*sols) if sols else ((),):
+                    c = b
+                    for slot, (ys, num) in zip(slots, combo):
+                        for i, y in zip(slot, ys):
+                            vec[i] = y
+                        c += num
+                    if (c + cands[0] * s_k) * n % L:
+                        raise RuntimeError(_OUTSIDE)
+                    visit(vec, k, cands, c, s_k)
+        return walked  # within cap: walk was checked up front, and each row as it was added
+
+    if not others:
+        return rows(0, 0, [])
     shared_shares = [shares[i] for i in shared]
     combos = 0
-    # A single part (W whole) is one walk: no shared assignment to count.
     for digits, s in _iter_assignments([bounds[i] for i in shared], [weights[i] for i in shared], W):
-        spent = 1 if others else 0
+        combos += 1
         for i, x in zip(shared, digits):
             vec[i] = x
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
-        for q_j, _, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, top_j, s_j in others:
+        for q_j, _, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, walk_j, _, top_j, s_j in others:
             found = []
-            walked = 0
             for xs, r in _iter_assignments(bounds_j, weights_j, q_j, s % q_j):
-                walked += 1
                 if not r % g_j:
                     num = sum(map(mul, xs, shares_j))
-                    cands = range(-(r // g_j) * inv_j % step_j, top_j, step_j)
-                    found += [((*xs, x), num + x * s_j) for x in cands]
-                    walked += len(cands)
-                if walked > cap:
-                    raise CapExceeded(over)
-            spent += walked
+                    found += [((*xs, x), num + x * s_j) for x in range(-(r // g_j) * inv_j % step_j, top_j, step_j)]
+                    if walk_j + len(found) > cap:
+                        raise CapExceeded(_OVER.format(cap))
+            combos += walk_j + len(found)
             if not found:
                 break
             sols.append(found)
         else:
-            rows = prod(map(len, sols))
-            base = sum(map(mul, digits, shared_shares))
-            walked = 0
-            for xs, r in _iter_assignments(rest_bounds, rest_weights, q, s % q):
-                walked += 1
-                cands = range(0) if r % g else range(-(r // g) * inv % step, top, step)
-                if cands:
-                    points = len(cands) * rows
-                    if points > cap:
-                        raise CapExceeded(over)
-                    walked += points
-                    for i, x in zip(rest, xs):
-                        vec[i] = x
-                    b_rest = base + sum(map(mul, xs, rest_shares))
-                    for combo in iproduct(*sols):
-                        b = b_rest
-                        for slot_j, (ys, num_j) in zip(slots, combo):
-                            for i, y in zip(slot_j, ys):
-                                vec[i] = y
-                            b += num_j
-                        for x in cands:
-                            num = b + x * s_k
-                            if num * n % L:
-                                raise RuntimeError("congruence produced a value outside (1/n)Z")
-                            vec[k] = x
-                            visit(vec, num)
-                if walked > cap:
-                    raise CapExceeded(over)
-            spent += walked
-        combos += spent
+            combos += rows(s % q, sum(map(mul, digits, shared_shares)), sols)
         if combos > cap:
-            raise CapExceeded(over)
-    return combos, L
+            raise CapExceeded(_OVER.format(cap))
+    return combos
 
 
 def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     """Same verdict and violation as verify_naive, from the factored walk,
-    which visits only in-ideal points.  Raises CapExceeded at once when a
-    part's walk has more points than cap, and during the walk when the
-    combinations it examines pass cap."""
-    _checked(d)
+    which visits only in-ideal points, a row at a time.  Raises CapExceeded
+    at once when a part's walk has more points than cap, and during the walk
+    when the combinations it examines pass cap."""
+    L = _checked(d)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
-    m, n = d.target.numerator, d.target.denominator
-    mL = m * lcm(*d.denominators)
-    best_key: list[int] = []
-    best_num = 0
+    # m/n over L.  The full vector is the lattice's unique maximum, so m/n is
+    # only ever the last point of the last row, as 0 is the first of the first.
+    full = d.target.numerator * L // d.target.denominator
+    best_key, best_num = [], 0
 
-    def keep_colex_min(vec: list[int], num: int) -> None:
-        # verify_naive varies the first coefficient fastest, so the violation
-        # it stops at is the colex-minimal one: compare reversed vectors.
+    def keep_colex_min(vec: list[int], k: int, cands: range, b: int, s_k: int) -> None:
+        # verify_naive stops at the colex-minimal violation (reversed vectors
+        # compared).  Along a row only x_k moves: a row's is its first point but 0.
         nonlocal best_key, best_num
-        if not num or num * n == mL:
-            return
-        key = vec[::-1]
-        if not best_key or key < best_key:
-            best_key, best_num = key, num
+        x = cands[0]
+        if not (b or x) and len(cands) > 1:  # skip 0, the first row's first point
+            x = cands[1]
+        num = b + x * s_k
+        if num and num != full:
+            vec[k] = x
+            key = vec[::-1]
+            if not best_key or key < best_key:
+                best_key, best_num = key, num
 
-    combos, L = _scan(d, cap, keep_colex_min)
+    combos = _scan(d, L, cap, keep_colex_min)
     if not best_key:
         return FaithfulnessReport(True, None, combos, "congruence")
     violation = Violation(tuple(reversed(best_key)), Fraction(best_num, L))
@@ -325,11 +321,14 @@ def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
 def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
     """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included.
 
-    Uses the same walk as verify, which visits only the in-ideal points.
+    Uses the same walk as verify, which visits only the in-ideal points and
+    hands them over a row at a time: a row's numerators over L are one range.
     """
-    _checked(d)
+    L = _checked(d)
     if not d.terms:
         return frozenset({Fraction(0)})
     nums: set[int] = set()
-    _, L = _scan(d, cap, lambda _vec, num: nums.add(num))
+    # A one-point row, the common case, is cheaper to add than as a range.
+    _scan(d, L, cap, lambda _v, _k, r, b, s: nums.add(b + r[0] * s) if len(r) == 1
+          else nums.update(range(b + r.start * s, b + r.stop * s, r.step * s)))
     return frozenset(Fraction(num, L) for num in nums)

@@ -1,0 +1,152 @@
+"""Mutation check for the verdict path: every mutant must fail its tests.
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # only these
+
+Each entry of MUTANTS is (name, file under src/faithfrac, old text, new
+text, test selection).  For each, the script copies src/, tests/ and
+pyproject.toml to a temporary directory, replaces the old text there, which
+must occur exactly once, by the new, and runs the selection in one
+sequential pytest process.  A mutant whose selection still passes survived:
+the tests no longer notice that change.  Each selection is first run on the
+unmutated copy, which must pass.  The script exits 0 only when every mutant
+is killed.
+
+Standard library only (pytest runs in the subprocess).  pytest does not
+collect this file, and the tier-1 run leaves it out because of its run time.
+A change that adds a fast path adds its mutants here.  A mutant that can
+change no outcome does not belong here, since no test can kill it: one that
+drops the walk's membership check, which correct code never trips, or one
+that turns a cap check into >= where the count checked is always below the
+final count (the other parts' listing, which the shared assignment and the
+last part's walk always follow).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+VERIFIER_TESTS = ("tests/test_verifier.py",)
+SEARCH_TESTS = ("tests/test_search.py",)
+
+MUTANTS = [
+    # verifier._scan and its visitors: rows instead of points.
+    ("colex visitor reads only a row's first candidate", "verifier.py",
+     "            x = cands[1]\n", "            x = cands[0]\n", VERIFIER_TESTS),
+    ("partial-sums range steps without * s_k", "verifier.py",
+     "r.step * s)))", "r.step)))", VERIFIER_TESTS),
+    ("row step off by one", "verifier.py",
+     "step = q // (g := gcd(weights[k], q))", "step = q // (g := gcd(weights[k], q)) + 1", VERIFIER_TESTS),
+    ("one-part entry starts from a nonzero residue", "verifier.py",
+     "return rows(0, 0, [])", "return rows(1, 0, [])", VERIFIER_TESTS),
+    ("single part counted as one shared assignment", "verifier.py",
+     "return rows(0, 0, [])", "return 1 + rows(0, 0, [])", VERIFIER_TESTS),
+    ("'walk of' refusal made for the last part only", "verifier.py",
+     "        if walk > cap:\n", "        if walk > cap and ts is private[-1]:\n", VERIFIER_TESTS),
+    ("colex comparison reversed", "verifier.py",
+     "key < best_key", "key > best_key", VERIFIER_TESTS),
+    ("outer check at cap + 1", "verifier.py",
+     "        if combos > cap:\n", "        if combos > cap + 1:\n", VERIFIER_TESTS),
+    ("last part's row check at >= cap", "verifier.py",
+     "if walked > cap:", "if walked >= cap:", VERIFIER_TESTS),
+    ("up-front walk refusal dropped", "verifier.py",
+     "        if walk > cap:\n", "        if False:\n", VERIFIER_TESTS),
+    ("another part's start residue ignored", "verifier.py",
+     "q_j, s % q_j)", "q_j, 0)", VERIFIER_TESTS),
+    ("the last part's start residue ignored", "verifier.py",
+     "combos += rows(s % q,", "combos += rows(0,", VERIFIER_TESTS),
+    ("another part's numerator dropped", "verifier.py",
+     "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
+    ("residue-0 shared assignments dropped", "verifier.py",
+     "        combos += 1\n", "        combos += 1\n        if not s:\n            continue\n", VERIFIER_TESTS),
+    ("terms of no part dropped", "verifier.py",
+     "for i, owners in mixed if folded.issuperset(owners)]",
+     "for i, owners in mixed if owners and folded.issuperset(owners)]", VERIFIER_TESTS),
+    ("parts with no term of their own kept apart", "verifier.py",
+     "[prod(parts[j] for j in folded)]", "[parts[kept[-1]]]", VERIFIER_TESTS),
+    # verifier.verify_naive, the reference.
+    ("oracle counts a hit as combos + x", "verifier.py",
+     "combos + x + 1,", "combos + x,", VERIFIER_TESTS),
+    ("oracle counts width - 1 per row", "verifier.py",
+     "        combos += width\n", "        combos += width - 1\n", VERIFIER_TESTS),
+    ("oracle target test dropped", "verifier.py",
+     "if not num * n % L and num and num * n != mL:", "if not num * n % L and num:", VERIFIER_TESTS),
+    ("oracle counts the empty decomposition 0", "verifier.py",
+     'FaithfulnessReport(True, None, 1, "naive")', 'FaithfulnessReport(True, None, 0, "naive")', VERIFIER_TESTS),
+    ("oracle rows cut by one vector", "verifier.py",
+     "range(base, base + span, step)", "range(base, base + span - step, step)", VERIFIER_TESTS),
+    # search.min_length_search under --shuffle, and _sampled_sets' unranking.
+    ("sampling condition without its + 1", "search.py",
+     "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap - combos:", SEARCH_TESTS),
+    ("sampling condition with >=", "search.py",
+     "if total > budget.combo_cap - combos + 1:", "if total >= budget.combo_cap - combos + 1:", SEARCH_TESTS),
+    ("sampling condition without - combos", "search.py",
+     "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap + 1:", SEARCH_TESTS),
+    ("member steps over a skipped divisor too early", "search.py",
+     "if s > b:", "if s > b + 1:", SEARCH_TESTS),
+    ("pool size off by one", "search.py",
+     "pool_size = B - 1 - len(skipped)", "pool_size = B - len(skipped)", SEARCH_TESTS),
+    ("unranking search starts one too high", "search.py",
+     "lo, hi = i - 1, rank + i", "lo, hi = i, rank + i", SEARCH_TESTS),
+]
+
+
+def _pytest(tmp: Path, selection: tuple[str, ...]) -> int:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *selection]
+    return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode
+
+
+def _checkout(tmp: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp / part, ignore=skip)
+    shutil.copy(ROOT / "pyproject.toml", tmp)
+
+
+def run(name: str, path: str, old: str, new: str, selection: tuple[str, ...]) -> str:
+    with tempfile.TemporaryDirectory(prefix="faithfrac-mutant-") as tmp:
+        tmp = Path(tmp)
+        _checkout(tmp)
+        target = tmp / "src" / "faithfrac" / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"stale: old text occurs {text.count(old)} times"
+        target.write_text(text.replace(old, new))
+        code = _pytest(tmp, selection)
+    # pytest exits 1 when a test failed; 0 when all passed.
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exited {code}")
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    if names and len(chosen) != len(set(names)):
+        known = {m[0] for m in MUTANTS}
+        print(f"unknown mutants: {sorted(set(names) - known)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    for selection in sorted({m[4] for m in chosen}):
+        with tempfile.TemporaryDirectory(prefix="faithfrac-mutant-") as tmp:
+            _checkout(Path(tmp))
+            if _pytest(Path(tmp), selection) != 0:
+                print(f"unmutated {' '.join(selection)} fails; fix it first", file=sys.stderr)
+                return 2
+    bad = 0
+    for mutant in chosen:
+        outcome = run(*mutant)
+        bad += outcome != "killed"
+        print(f"{outcome:10s} {mutant[1]}: {mutant[0]}", flush=True)
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

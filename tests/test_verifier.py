@@ -516,6 +516,41 @@ def test_factored_walk_matches_the_oracle(d):
         assert sums == brute
 
 
+@st.composite
+def dense_rows(draw):
+    """1-4 terms whose denominators divide c * n for c in {1, 2, 3}, kept when
+    W = L / gcd(L, n) is at most 3, so that most lattice points lie in (1/n)Z
+    and the walk's rows hold many of them."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    c = draw(st.sampled_from([1, 2, 3]))
+    divisors = [b for b in range(1, c * n + 1) if c * n % b == 0]
+    dens = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=4, unique=True))
+    pairs = [(draw(st.integers(min_value=1, max_value=6)), b) for b in dens]
+    if prod(a + 1 for a, _ in pairs) > 3000:
+        pairs = [(1, b) for _, b in pairs]
+    d = of_pairs(pairs)
+    L = lcm(*d.denominators)
+    assume(L // gcd(L, d.target.denominator) <= 3)
+    return d
+
+
+@given(dense_rows())
+# W = 1: every point is in (1/n)Z.  The walk's first row is 0 and then a
+# violation, (0, 0, 1, 0); the answer, (1, 0, 0, 0), is the oracle's second vector.
+@example(of_pairs([(4, 41), (3, 68), (5, 63), (5, 7)]))
+@example(of_pairs([(2, 4)]))  # 1/2 written 2/4: one row holding only 0 and m/n
+# W = 2: the walk meets the violation (0, 2, 0) in its first row, but the
+# colex-minimal one, (1, 0, 0), in its third.
+@example(of_pairs([(3, 7), (5, 14), (1, 2)]))
+@settings(deadline=None, max_examples=80)
+def test_dense_rows_match_the_oracle(d):
+    slow = verify_naive(d)
+    fast = verify(d)
+    assert fast.faithful == slow.faithful
+    assert fast.violation == slow.violation
+    assert partial_sums_in_ideal(d) == brute_partial_sums(d)
+
+
 # theorem1 outputs for n < 30 whose full lattice has at most 1e5 points.
 SMALL_THEOREM1 = [
     d
