@@ -4,19 +4,21 @@ A decomposition m/n = sum a_i/b_i is faithful when no coefficient vector
 0 <= x_i <= a_i makes sum x_i/b_i land in (1/n)Z except the all-zero vector
 (value 0) and any vector whose value equals m/n itself.
 
-verify_naive enumerates the whole lattice and is the reference.  The fast
-path reduces membership to integer arithmetic: with L = lcm(b_i) and
-W = L / gcd(L, n), a lattice sum lies in (1/n)Z exactly when
-sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds alone, into pairwise
-coprime parts, each involving only the terms whose weight L / b_i it does
-not divide.  Terms of several parts are enumerated; each part then solves
-its widest coefficient x_k by congruence and walks the rest jointly.  A
-part whose walk has more points than the cap raises CapExceeded before
-anything is enumerated.  The walk hands a visitor one row at a time: a
-setting of every coefficient but x_k, with the range of x_k in the ideal.
-verify keeps the colex-minimal point that is neither 0 nor m/n (a row's
-first or second), partial_sums_in_ideal the distinct numerators over L;
-each builds a Fraction only for what it returns.
+verify_naive is the reference: it reports the first violation in colex
+order (first coefficient fastest), enumerating the lattice in rows along
+its longest coefficient and testing each point as p % L == 0, with p = n
+times its numerator over L = lcm(b_i).  The fast path reduces membership
+to integer arithmetic: with W = L / gcd(L, n), a lattice sum lies in
+(1/n)Z exactly when sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds
+alone, into pairwise coprime parts, each involving only the terms whose
+weight L / b_i it does not divide.  Terms of several parts are enumerated;
+each part then solves its widest coefficient x_k by congruence and walks
+the rest jointly.  A part whose walk has more points than the cap raises
+CapExceeded before anything is enumerated.  The walk hands a visitor one
+row at a time: a setting of every coefficient but x_k, with the range of
+x_k in the ideal.  verify keeps the colex-minimal point that is neither 0
+nor m/n (a row's first or second), partial_sums_in_ideal the distinct
+numerators over L; each builds a Fraction only for what it returns.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class FaithfulnessReport:
     method is "congruence" from verify and "naive" from verify_naive.
     combos_examined has one unit on both: enumerated assignments plus the
     values produced for eliminated coefficients (verify_naive eliminates
-    none, so it counts the vectors it enumerated).
+    none, so it is the hit's colex position, or the lattice size).
     """
 
     faithful: bool
@@ -82,15 +84,19 @@ def _checked(d: Decomposition) -> int:
 
 
 def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
-    """Oracle check: enumerate every coefficient vector and test membership.
+    """Oracle check: enumerate the coefficient lattice and test membership.
 
-    Stops at the first violating vector in enumeration order (first
-    coefficient fastest).  Refuses instances whose full lattice exceeds cap.
-    Membership is tested in its own integer arithmetic, apart from the fast
-    path's: over L = lcm(b_i) a vector's value is num / L, and it lies in
-    (1/n)Z exactly when num * n % L == 0.  The vectors come in rows, one per
-    setting of the other coefficients, along which x_1 runs from 0 to a_1
-    and num steps by L / b_1 from the row's base.
+    Reports the first violating vector in colex order (first coefficient
+    fastest).  Refuses instances whose full lattice exceeds cap.  Membership
+    is tested in its own integer arithmetic, apart from the fast path's:
+    over L = lcm(b_i) a vector's value is num / L, and it lies in (1/n)Z
+    exactly when p = num * n has p % L == 0.  The vectors come in rows along
+    the longest coefficient x_j (the lowest index among ties), one per
+    setting of the others, taken in colex order; along a row p steps by
+    n * (L / b_j).  Colex order ranks x_j above x_1..x_{j-1}, so the rows
+    that share x_{j+1..k} form a group, and the group's hit with the
+    smallest x_j (the earliest row among ties) is the colex-minimal one: once
+    a row hits at x, the group's later rows scan only x_j < x.
     """
     L = _checked(d)
     m, n = d.target.numerator, d.target.denominator
@@ -100,28 +106,39 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
         raise CapExceeded(f"naive lattice has {total} points, cap is {cap}; use verify")
     if not bounds:
         return FaithfulnessReport(True, None, 1, "naive")  # the one, empty, vector
+    j = bounds.index(max(bounds))
+    group = prod(a + 1 for a in bounds[:j])
+    width = bounds[j] + 1
     # Coefficient x_i contributes x_i copies of 1/b_i, not multiples of a_i/b_i:
-    # x_i * (L // b_i) to the numerator over L.
-    mL = m * L
-    first, *rest = d.terms
-    step = L // first.den
-    width = first.num + 1
+    # x_i * (L // b_i) to the numerator over L, and n times that to p.
+    others = d.terms[:j] + d.terms[j + 1:]
+    step = n * (L // d.terms[j].den)
     span = width * step
-    combos = 0
+    nL, mL = n * L, m * L
     # itertools.product varies its last factor fastest; feeding it the other
-    # coefficients' bounds reversed makes x_2 the fastest from row to row, so
-    # each row's setting arrives reversed and is paired with the shares in
-    # reverse.
-    rshares = [L // t.den for t in reversed(rest)]
-    for rev in iproduct(*[range(t.num + 1) for t in reversed(rest)]):
+    # coefficients' bounds reversed makes the first of them the fastest from
+    # row to row, so each row's setting arrives reversed and is paired with
+    # the shares in reverse.
+    rshares = [nL // t.den for t in reversed(others)]
+    hit = None
+    for row, rev in enumerate(iproduct(*[range(t.num + 1) for t in reversed(others)])):
         base = sum(map(mul, rev, rshares))
-        for num in range(base, base + span, step):
-            if not num * n % L and num and num * n != mL:
-                x = (num - base) // step
-                violation = Violation((x, *rev[::-1]), Fraction(num, L))
-                return FaithfulnessReport(False, violation, combos + x + 1, "naive")
-        combos += width
-    return FaithfulnessReport(True, None, combos, "naive")
+        for p in range(base, base + span, step):
+            if not p % L and p and p != mL:
+                hit = row, rev, p, (p - base) // step
+                span = p - base  # the group's later rows scan only x_j < x
+                break
+        if hit and (not span or row % group == group - 1):
+            break
+    else:
+        return FaithfulnessReport(True, None, total, "naive")
+    row, rev, p, x = hit
+    fwd = rev[::-1]
+    violation = Violation((*fwd[:j], x, *fwd[j:]), Fraction(p // n, L))
+    # The hit's colex position: row % group vectors for x_1..x_{j-1}, group
+    # per unit of x_j, and group * width per earlier group.
+    position = row % group + group * (x + row // group * width) + 1
+    return FaithfulnessReport(False, violation, position, "naive")
 
 
 def _iter_assignments(bounds: list[int], weights: list[int], W: int, start: int = 0):

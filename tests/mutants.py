@@ -19,7 +19,9 @@ change no outcome does not belong here, since no test can kill it: one that
 drops the walk's membership check, which correct code never trips, or one
 that turns a cap check into >= where the count checked is always below the
 final count (the other parts' listing, which the shared assignment and the
-last part's walk always follow).
+last part's walk always follow), or one that drops the oracle's early
+answer on a hit at x_j = 0 or fixes its row coefficient at x_1, which change
+how much of the lattice it reads but none of its reports.
 """
 
 from __future__ import annotations
@@ -72,12 +74,16 @@ MUTANTS = [
     ("parts with no term of their own kept apart", "verifier.py",
      "[prod(parts[j] for j in folded)]", "[parts[kept[-1]]]", VERIFIER_TESTS),
     # verifier.verify_naive, the reference.
-    ("oracle counts a hit as combos + x", "verifier.py",
-     "combos + x + 1,", "combos + x,", VERIFIER_TESTS),
-    ("oracle counts width - 1 per row", "verifier.py",
-     "        combos += width\n", "        combos += width - 1\n", VERIFIER_TESTS),
+    ("oracle's colex position off by one", "verifier.py",
+     "row // group * width) + 1\n", "row // group * width)\n", VERIFIER_TESTS),
+    ("oracle's later rows keep ties with the hit", "verifier.py",
+     "span = p - base  #", "span = p - base + step  #", VERIFIER_TESTS),
+    ("oracle's value keeps the factor n", "verifier.py",
+     "Fraction(p // n, L)", "Fraction(p, L)", VERIFIER_TESTS),
+    ("oracle's group size from the coefficients above x_j", "verifier.py",
+     "prod(a + 1 for a in bounds[:j])", "prod(a + 1 for a in bounds[j + 1:])", VERIFIER_TESTS),
     ("oracle target test dropped", "verifier.py",
-     "if not num * n % L and num and num * n != mL:", "if not num * n % L and num:", VERIFIER_TESTS),
+     "if not p % L and p and p != mL:", "if not p % L and p:", VERIFIER_TESTS),
     ("oracle counts the empty decomposition 0", "verifier.py",
      'FaithfulnessReport(True, None, 1, "naive")', 'FaithfulnessReport(True, None, 0, "naive")', VERIFIER_TESTS),
     ("oracle rows cut by one vector", "verifier.py",

@@ -339,7 +339,9 @@ def test_partial_sums_match_brute_force(d):
 
 
 def fraction_oracle(d):
-    """verify_naive's enumeration with its sums taken in Fraction arithmetic."""
+    """The plain colex enumeration (first coefficient fastest), one vector
+    at a time with its sum taken in Fraction arithmetic: the first violation
+    it meets is the one verify_naive must report."""
     n, values = d.target.denominator, [Fraction(1, t.den) for t in d.terms]
     for combos, rev in enumerate(product(*[range(t.num + 1) for t in reversed(d.terms)]), 1):
         v = sum((x * val for x, val in zip(rev[::-1], values)), Fraction(0))
@@ -377,12 +379,13 @@ def test_empty_decomposition_is_pinned():
 
 @st.composite
 def long_row_inputs(draw):
-    """The oracle's rows are as long as its first numerator plus one.
+    """The oracle's rows run along its longest coefficient.
 
     A two_term output x/y + 1/(n*y), whose two rows of x + 1 vectors hold no
     point of (1/n)Z but 0 and m/n, with up to two terms 1..3/c added (which
     put hits inside later rows), and with the terms in order or reversed, so
-    that the long coefficient moves fastest or slowest.
+    that the long coefficient comes first (each row its own group) or last
+    (every row in one group).
     """
     n = draw(st.integers(min_value=3, max_value=1500))
     m = draw(st.sampled_from([m for m in range(2, n) if gcd(m, n) == 1]))
@@ -396,14 +399,49 @@ def long_row_inputs(draw):
 
 
 @given(long_row_inputs())
-# Hits at a row's end: (400, 0) ends the first row, (48, 0, 1) the third,
-# (26, 1, 0) the second and, with the long coefficient last, (4, 87) the 88th.
+# Hits at a row's end: (400, 0) ends the first row, (48, 0, 1) the third and
+# (26, 1, 0) the second.  With the long coefficient last, (4, 87) is in the
+# last of five rows, which beats the first row's hit at x_2 = 116.
 @example(of_pairs([(400, 800), (1, 7)]))
 @example(of_pairs([(4, 16), (319, 580)]))
 @example(of_pairs([(48, 144), (1, 39), (2, 33)]))
 @example(of_pairs([(26, 52), (1, 30), (3, 21)]))
 @settings(deadline=None, max_examples=40)
 def test_integer_oracle_matches_fraction_sums_on_long_rows(d):
+    assert verify_naive(d) == fraction_oracle(d)
+
+
+@st.composite
+def inner_long_inputs(draw):
+    """The longest numerator strictly inside, between shorter terms.
+
+    3-5 terms over denominators 1..60: the long one (7..40) is neither first
+    nor last, the others are 1..6 (all 1 when the lattice passes 3,000
+    points).  The oracle's rows then run along a middle coefficient and come
+    in groups of more than one row, whose colex-minimal hit need not be in
+    the group's first row that hits.
+    """
+    dens = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=5, unique=True))
+    j = draw(st.integers(min_value=1, max_value=len(dens) - 2))
+    short = [draw(st.integers(min_value=1, max_value=6)) for _ in dens]
+    long = draw(st.integers(min_value=7, max_value=40))
+    if (long + 1) * prod(a + 1 for i, a in enumerate(short) if i != j) > 3000:
+        short = [1] * len(dens)
+    return of_pairs([(long if i == j else a, b) for i, (a, b) in enumerate(zip(short, dens))])
+
+
+@given(inner_long_inputs())
+# (2, 1, 0): the first row's hit at x_2 = 2 is beaten by the second row's x_2 = 1.
+@example(of_pairs([(2, 20), (7, 10), (2, 17)]))
+# (1, 0, 1, 0): two rows of the group hit at x_3 = 1, and the earlier one wins.
+@example(of_pairs([(2, 4), (1, 20), (12, 28), (3, 12)]))
+# (1, 0, 0): a hit at x_2 = 0 in the group's second row answers at once.
+@example(of_pairs([(1, 18), (10, 20), (3, 2)]))
+# Two coefficients tied for the longest; rows run along the first, x_2, and
+# (1, 2, 0) in the second row beats the first row's hit at x_2 = 4.
+@example(of_pairs([(1, 10), (6, 4), (6, 23)]))
+@settings(**HYP_SETTINGS)
+def test_integer_oracle_matches_fraction_sums_on_inner_rows(d):
     assert verify_naive(d) == fraction_oracle(d)
 
 
