@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Any, Iterable, Sequence
@@ -40,22 +41,52 @@ class Term:
     den: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num, int) or not isinstance(self.den, int):
+        num, den = self.num, self.den
+        # bool is an int subclass, but a True part would not survive the JSON form.
+        if type(num) is bool or type(den) is bool or not (isinstance(num, int) and isinstance(den, int)):
             raise ValueError("term parts must be integers")
-        if self.num < 1 or self.den < 1:
+        if num < 1 or den < 1:
             raise ValueError("term parts must be positive")
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """An ordered sum of written terms with its reduced target value."""
+    """An ordered sum of written terms with its reduced target value.
+
+    The structural audit is worked out once per instance, on first use, and
+    kept with it (_audit); equality, hashing and repr read only the
+    target and the terms.
+    """
 
     target: Fraction
     terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target", Fraction(self.target))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        if type(self.target) is not Fraction:
+            object.__setattr__(self, "target", Fraction(self.target))
+        if type(self.terms) is not tuple:
+            object.__setattr__(self, "terms", tuple(self.terms))
+
+    @cached_property
+    def _audit(self) -> tuple[tuple[str, ...], int]:
+        """validate's problems, with the L = lcm(b_i) the sum check clears
+        denominators over (1 for no terms), for callers that go on to use L.
+        Worked out on first use and kept in the instance's __dict__, which
+        cached_property writes directly, past the frozen __setattr__."""
+        problems: list[str] = []
+        m, n = self.target.numerator, self.target.denominator
+        if not self.terms:
+            return ("sum mismatch",) if m else (), 1
+        if m <= 0:
+            problems.append("nonpositive target")
+        dens = self.denominators
+        if len(set(dens)) != len(dens):
+            problems.append("duplicate denominator")
+        # sum a_i/b_i == m/n, cleared of denominators over L = lcm(b_i).
+        L = lcm(*dens)
+        if sum(t.num * (L // t.den) for t in self.terms) * n != m * L:
+            problems.append("sum mismatch")
+        return tuple(problems), L
 
     @property
     def denominators(self) -> tuple[int, ...]:
@@ -68,36 +99,16 @@ class Decomposition:
 
 def decomposition(target: Fraction | int, pairs: Iterable[tuple[int, int]]) -> Decomposition:
     """Convenience builder from (num, den) pairs."""
-    return Decomposition(target, tuple(Term(a, b) for a, b in pairs))
+    return Decomposition(target, tuple([Term(a, b) for a, b in pairs]))
 
 
 def validate(d: Decomposition) -> list[str]:
     """Structural check; returns an empty list when d is well formed.
 
     The empty decomposition is accepted only for target 0 (the vacuous sum).
+    The check runs once per instance; each call returns a new list.
     """
-    return _audit(d)[0]
-
-
-def _audit(d: Decomposition) -> tuple[list[str], int]:
-    """validate's problems, with the L = lcm(b_i) the sum check clears
-    denominators over (1 for no terms), for callers that go on to use L."""
-    problems: list[str] = []
-    m, n = d.target.numerator, d.target.denominator
-    if not d.terms:
-        if m != 0:
-            problems.append("sum mismatch")
-        return problems, 1
-    if m <= 0:
-        problems.append("nonpositive target")
-    dens = d.denominators
-    if len(set(dens)) != len(dens):
-        problems.append("duplicate denominator")
-    # sum a_i/b_i == m/n, cleared of denominators over L = lcm(b_i).
-    L = lcm(*dens)
-    if sum(t.num * (L // t.den) for t in d.terms) * n != m * L:
-        problems.append("sum mismatch")
-    return problems, L
+    return list(d._audit[0])
 
 
 def scale(d: Decomposition, c: int) -> Decomposition:

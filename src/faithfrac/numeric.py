@@ -37,17 +37,30 @@ def coprime_parts(n: int, values: Iterable[int]) -> list[int]:
     """
     if n < 1:
         raise ValueError("coprime_parts needs a positive n")
-    parts = [n] if n > 1 else []
-    for v in values:
+    return [f for f, _ in _coprime_split(n, values)]
+
+
+def _coprime_split(n: int, values: Iterable[int]) -> list[tuple[int, int]]:
+    """coprime_parts' factors of n >= 1, each paired with a mask of the values
+    it shares primes with: bit i is set exactly when gcd(f, values[i]) > 1.
+
+    When a value splits a factor, both halves inherit the factor's mask and
+    only the shared half gains the value's bit.
+    """
+    parts = [(n, 0)] if n > 1 else []
+    for i, v in enumerate(values):
         split = []
-        for rest in parts:
+        for rest, mask in parts:
             shared = 1
             g = gcd(rest, v)
             while g > 1:
                 shared *= g
                 rest //= g
                 g = gcd(rest, g)
-            split += [f for f in (shared, rest) if f > 1]
+            if shared > 1:
+                split.append((shared, mask | 1 << i))
+            if rest > 1:
+                split.append((rest, mask))
         parts = split
     return sorted(parts)
 

@@ -287,7 +287,6 @@ def prop6_discrepancy_scan(
             condition = prop6_condition(m, n, y2, y, x)
             verified = verify(d).faithful
             count += 1
-            inst = Prop6Instance(m, n, y2, y, x, condition, verified)
-            if not inst.agrees:
-                bad.append(inst)
+            if condition != verified:  # only a disagreement is kept
+                bad.append(Prop6Instance(m, n, y2, y, x, condition, verified))
     return Prop6ScanReport(count, tuple(bad))

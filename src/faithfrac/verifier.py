@@ -16,9 +16,14 @@ each part then solves its widest coefficient x_k by congruence and walks
 the rest jointly.  A part whose walk has more points than the cap raises
 CapExceeded before anything is enumerated.  The walk hands a visitor one
 row at a time: a setting of every coefficient but x_k, with the range of
-x_k in the ideal.  verify keeps the colex-minimal point that is neither 0
-nor m/n (a row's first or second), partial_sums_in_ideal the distinct
-numerators over L; each builds a Fraction only for what it returns.
+x_k in the ideal.  One row loop (_rows) walks the last part; when W stays
+whole, the usual case for small decompositions, _scan sets up that one
+part and calls it directly, and only a split W builds the other parts'
+solution lists and the loop over shared assignments.  verify keeps the
+colex-minimal point that is neither 0 nor m/n (a row's first or second),
+partial_sums_in_ideal the distinct numerators over L; each builds a
+Fraction only for what it returns.  Every check reads the decomposition's
+structural audit, which is worked out once per instance (model.Decomposition).
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from itertools import product as iproduct
 from math import gcd, prod
 from operator import mul
 
-from .model import Decomposition, _audit
-from .numeric import coprime_parts
+from .model import Decomposition
+from .numeric import _coprime_split
 
 __all__ = [
     "DEFAULT_CAP",
@@ -77,7 +82,7 @@ class FaithfulnessReport:
 
 def _checked(d: Decomposition) -> int:
     """L = lcm(b_i) of a well-formed d (1 for no terms); ValueError otherwise."""
-    problems, L = _audit(d)
+    problems, L = d._audit
     if problems:
         raise ValueError(f"invalid decomposition: {', '.join(problems)}")
     return L
@@ -173,7 +178,7 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     term.  W stays whole when its basis (about k**2 gcds for k terms) costs
     more than the rest lattice it could shrink, or the split is no cheaper.
     """
-    single = [W], [], [list(range(len(bounds)))]
+    single = [W], [], [range(len(bounds))]
     rest = prod(map((1).__add__, bounds)) // (max(bounds) + 1)
     if W == 1 or rest <= len(bounds) ** 2:
         return single
@@ -181,12 +186,13 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     # q divides weight w exactly when q is coprime to W // gcd(w, W), which
     # is small for most terms, unlike w.
     cofactors = [W // gcd(w, W) for w in weights]
-    parts = coprime_parts(W, cofactors)
+    split = _coprime_split(W, cofactors)  # (part, mask of the terms it does not divide)
+    parts = [q for q, _ in split]
     # One pass over the terms: those of exactly one part are its own.
     private: list[list[int]] = [[] for _ in parts]
     mixed = []  # (term, its parts) for terms of no part or of several
-    for i, c in enumerate(cofactors):
-        owners = [j for j, q in enumerate(parts) if gcd(q, c) > 1]
+    for i in range(len(cofactors)):
+        owners = [j for j, (_, mask) in enumerate(split) if mask >> i & 1]
         if len(owners) == 1:
             private[owners[0]].append(i)
         else:
@@ -205,28 +211,66 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(map(size, shared)) * walks < rest else single
 
 
+def _rows(visit, vec, k, rest, bounds, weights, shares, q, g, step, inv, top, s_k, W, walked, cap,
+          start=0, base=0, sols=(), slots=()) -> int:
+    """The last part's rows, from residue start with numerators offset by
+    base; returns walked plus the combinations examined.  The part walks its
+    terms but the widest, k: rest, with their bounds, weights mod q and
+    shares.  It solves w_k * x_k == -r (mod q) for each residue r the walk
+    reaches: solvable when r == 0 (mod g), g = gcd(w_k, q), by every
+    x_k == -(r / g) * inv (mod step) below top.  Each row is visited once per
+    combination of the other parts' solutions sols, written into vec at their
+    slots; a part of its own (no sols) visits each row once."""
+    copies = prod(map(len, sols)) if sols else 1
+    for xs, r in _iter_assignments(bounds, weights, q, start):
+        if r % g or not (cands := range(-(r // g) * inv % step, top, step)):
+            continue
+        walked += len(cands) * copies
+        if walked > cap:
+            raise CapExceeded(_OVER.format(cap))
+        for i, x in zip(rest, xs):
+            vec[i] = x
+        b = base + sum(map(mul, xs, shares))
+        # Every visited point is in (1/n)Z: each row's first point is checked.
+        if not sols:
+            if (b + cands[0] * s_k) % W:
+                raise RuntimeError(_OUTSIDE)
+            visit(vec, k, cands, b, s_k)
+            continue
+        for combo in iproduct(*sols):
+            c = b
+            for slot, (ys, num) in zip(slots, combo):
+                for i, y in zip(slot, ys):
+                    vec[i] = y
+                c += num
+            if (c + cands[0] * s_k) % W:
+                raise RuntimeError(_OUTSIDE)
+            visit(vec, k, cands, c, s_k)
+    return walked  # within cap: the walk was checked up front, and each row as it was added
+
+
 def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
     """Walk the in-ideal points of a non-empty decomposition by rows, with
     L = lcm(b_i); returns combos_examined.  Calls visit(vec, k, cands, b, s_k)
     per row: vec holds every coefficient but x_k (one list rewritten in place;
     vec[k] is the visitor's), cands is the range of x_k in the ideal, and
-    b + x_k * s_k the numerators over L.  Under each shared assignment, every
-    part but the last lists its solutions, and each row of the last part
-    comes once per combination."""
+    b + x_k * s_k the numerators over L.  Each part walks its terms but the
+    widest, k; a walk past the cap is refused before anything is enumerated.
+    A single part (W kept whole) goes straight to its rows.  Otherwise, under
+    each shared assignment, every part but the last lists its solutions, and
+    each row of the last part comes once per combination."""
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
     W = L // gcd(L, n)
-    # A point's value is sum(x_i * shares[i]) / L, exact in integers.
+    # A point's value is sum(x_i * shares[i]) / L, exact in integers; it is
+    # in (1/n)Z exactly when that sum is 0 (mod W).
     shares = [L // t.den for t in d.terms]
     weights = [s % W for s in shares]
     parts, shared, private = _plan(W, weights, bounds)
-
-    def solver(q: int, ts: list[int]):
-        # Part q walks its terms but the widest, k, from the residue s (mod
-        # q) the shared terms leave, and solves w_k * x_k == -r (mod q) for
-        # each residue r the walk reaches: solvable when r == 0 (mod g), g =
-        # gcd(w_k, q), by every x_k == -(r / g) * inv (mod step) in [0, a_k].
-        # A walk past the cap is refused before anything is enumerated.
+    # The loop ends on the last part, whose rows are walked; the others are kept
+    # as their solutions list them.
+    others, slots = [], []
+    for q, ts in zip(parts, private):
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
         rest_bounds = [bounds[i] for i in rest]
@@ -236,44 +280,17 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         step = q // (g := gcd(weights[k], q))
         inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
         rest_weights = [weights[i] % q for i in rest]
-        return q, rest, rest_bounds, rest_weights, [shares[i] for i in rest], g, step, inv, walk, k, bounds[k] + 1, shares[k]
-
-    others = [solver(q, ts) for q, ts in zip(parts[:-1], private[:-1])]
-    q, rest, rest_bounds, rest_weights, rest_shares, g, step, inv, walk, k, top, s_k = solver(parts[-1], private[-1])
-    # Every visited point is in (1/n)Z: each row's first point is checked, and here its step.
-    if step * s_k * n % L:
+        rest_shares = [shares[i] for i in rest]
+        if ts is not private[-1]:
+            others.append((q, rest_bounds, rest_weights, rest_shares, g, step, inv, walk, bounds[k] + 1, shares[k]))
+            slots.append([*rest, k])
+    top, s_k = bounds[k] + 1, shares[k]
+    # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
+    if step * s_k % W:
         raise RuntimeError(_OUTSIDE)
     vec = [0] * len(bounds)
-    slots = [[*rest_j, k_j] for _, rest_j, *_, k_j, _, _ in others]  # as their solutions list them
-
-    def rows(start: int, base: int, sols: list) -> int:
-        # The last part's walk from residue start, its numerators offset by
-        # base; returns the combinations it examined.
-        copies = prod(map(len, sols))
-        walked = walk
-        for xs, r in _iter_assignments(rest_bounds, rest_weights, q, start):
-            cands = range(0) if r % g else range(-(r // g) * inv % step, top, step)
-            if cands:
-                walked += len(cands) * copies
-                if walked > cap:
-                    raise CapExceeded(_OVER.format(cap))
-                for i, x in zip(rest, xs):
-                    vec[i] = x
-                b = base + sum(map(mul, xs, rest_shares))
-                # Once per combination of the other parts' solutions, written into vec.
-                for combo in iproduct(*sols) if sols else ((),):
-                    c = b
-                    for slot, (ys, num) in zip(slots, combo):
-                        for i, y in zip(slot, ys):
-                            vec[i] = y
-                        c += num
-                    if (c + cands[0] * s_k) * n % L:
-                        raise RuntimeError(_OUTSIDE)
-                    visit(vec, k, cands, c, s_k)
-        return walked  # within cap: walk was checked up front, and each row as it was added
-
     if not others:
-        return rows(0, 0, [])
+        return _rows(visit, vec, k, rest, rest_bounds, rest_weights, rest_shares, q, g, step, inv, top, s_k, W, walk, cap)
     shared_shares = [shares[i] for i in shared]
     combos = 0
     for digits, s in _iter_assignments([bounds[i] for i in shared], [weights[i] for i in shared], W):
@@ -282,7 +299,7 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
             vec[i] = x
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
-        for q_j, _, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, walk_j, _, top_j, s_j in others:
+        for q_j, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, walk_j, top_j, s_j in others:
             found = []
             for xs, r in _iter_assignments(bounds_j, weights_j, q_j, s % q_j):
                 if not r % g_j:
@@ -295,7 +312,8 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
                 break
             sols.append(found)
         else:
-            combos += rows(s % q, sum(map(mul, digits, shared_shares)), sols)
+            combos += _rows(visit, vec, k, rest, rest_bounds, rest_weights, rest_shares, q, g, step, inv, top, s_k, W,
+                            walk, cap, s % q, sum(map(mul, digits, shared_shares)), sols, slots)
         if combos > cap:
             raise CapExceeded(_OVER.format(cap))
     return combos

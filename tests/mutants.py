@@ -37,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 SEARCH_TESTS = ("tests/test_search.py",)
+MODEL_TESTS = ("tests/test_model.py",)
 
 MUTANTS = [
     # verifier._scan and its visitors: rows instead of points.
@@ -47,23 +48,27 @@ MUTANTS = [
     ("row step off by one", "verifier.py",
      "step = q // (g := gcd(weights[k], q))", "step = q // (g := gcd(weights[k], q)) + 1", VERIFIER_TESTS),
     ("one-part entry starts from a nonzero residue", "verifier.py",
-     "return rows(0, 0, [])", "return rows(1, 0, [])", VERIFIER_TESTS),
+     "          start=0, base=0,", "          start=1, base=0,", VERIFIER_TESTS),
     ("single part counted as one shared assignment", "verifier.py",
-     "return rows(0, 0, [])", "return 1 + rows(0, 0, [])", VERIFIER_TESTS),
+     "        return _rows(", "        return 1 + _rows(", VERIFIER_TESTS),
+    ("one-part rows counted as no combinations", "verifier.py",
+     "if sols else 1\n", "if sols else 0\n", VERIFIER_TESTS),
+    ("'walk of' refusal dropped on the one-part path", "verifier.py",
+     "        if walk > cap:\n", "        if walk > cap and len(parts) > 1:\n", VERIFIER_TESTS),
     ("'walk of' refusal made for the last part only", "verifier.py",
      "        if walk > cap:\n", "        if walk > cap and ts is private[-1]:\n", VERIFIER_TESTS),
     ("colex comparison reversed", "verifier.py",
      "key < best_key", "key > best_key", VERIFIER_TESTS),
     ("outer check at cap + 1", "verifier.py",
      "        if combos > cap:\n", "        if combos > cap + 1:\n", VERIFIER_TESTS),
-    ("last part's row check at >= cap", "verifier.py",
+    ("row check at >= cap, one part or the last", "verifier.py",
      "if walked > cap:", "if walked >= cap:", VERIFIER_TESTS),
     ("up-front walk refusal dropped", "verifier.py",
      "        if walk > cap:\n", "        if False:\n", VERIFIER_TESTS),
     ("another part's start residue ignored", "verifier.py",
      "q_j, s % q_j)", "q_j, 0)", VERIFIER_TESTS),
     ("the last part's start residue ignored", "verifier.py",
-     "combos += rows(s % q,", "combos += rows(0,", VERIFIER_TESTS),
+     "walk, cap, s % q,", "walk, cap, 0,", VERIFIER_TESTS),
     ("another part's numerator dropped", "verifier.py",
      "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
     ("residue-0 shared assignments dropped", "verifier.py",
@@ -73,6 +78,11 @@ MUTANTS = [
      "for i, owners in mixed if owners and folded.issuperset(owners)]", VERIFIER_TESTS),
     ("parts with no term of their own kept apart", "verifier.py",
      "[prod(parts[j] for j in folded)]", "[parts[kept[-1]]]", VERIFIER_TESTS),
+    # numeric._coprime_split's owner masks, which _plan reads.
+    ("split's shared half without the value's bit", "numeric.py",
+     "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
+    ("split's rest half with the value's bit", "numeric.py",
+     "split.append((rest, mask))", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
     # verifier.verify_naive, the reference.
     ("oracle's colex position off by one", "verifier.py",
      "row // group * width) + 1\n", "row // group * width)\n", VERIFIER_TESTS),
@@ -88,6 +98,16 @@ MUTANTS = [
      'FaithfulnessReport(True, None, 1, "naive")', 'FaithfulnessReport(True, None, 0, "naive")', VERIFIER_TESTS),
     ("oracle rows cut by one vector", "verifier.py",
      "range(base, base + span, step)", "range(base, base + span - step, step)", VERIFIER_TESTS),
+    # model: the audit kept per instance, coercion, term parts.
+    ("validate hands out the kept problems themselves", "model.py",
+     "return list(d._audit[0])", "return d._audit[0]", MODEL_TESTS),
+    ("coercion skipped for an int target", "model.py",
+     "if type(self.target) is not Fraction:", "if type(self.target) not in (Fraction, int):", MODEL_TESTS),
+    ("bool accepted as a term's numerator", "model.py",
+     "if type(num) is bool or type(den) is bool or", "if type(den) is bool or", MODEL_TESTS),
+    # search.prop6_discrepancy_scan keeps only disagreements.
+    ("prop6 scan reports agreements", "search.py",
+     "if condition != verified:", "if condition == verified:", SEARCH_TESTS),
     # search.min_length_search under --shuffle, and _sampled_sets' unranking.
     ("sampling condition without its + 1", "search.py",
      "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap - combos:", SEARCH_TESTS),

@@ -1,5 +1,6 @@
 """Decomposition data model: validation, scaling, structure checks, JSON."""
 
+import pickle
 import sys
 from fractions import Fraction
 
@@ -15,10 +16,13 @@ from faithfrac import (
     from_json,
     from_json_dict,
     necessary_conditions,
+    partial_sums_in_ideal,
     scale,
     to_json,
     to_json_dict,
     validate,
+    verify,
+    verify_naive,
 )
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 150}
@@ -35,6 +39,69 @@ def test_terms_must_be_positive():
         Term(1, 0)
     with pytest.raises(ValueError):
         Term(-1, 4)
+
+
+@pytest.mark.parametrize("num,den", [(True, 2), (1, True), (False, 3), (True, True)])
+def test_term_parts_must_not_be_booleans(num, den):
+    # True == 1, but its JSON text "True" could not be read back.
+    with pytest.raises(ValueError, match="term parts must be integers"):
+        Term(num, den)
+
+
+def test_valid_term_round_trips_unchanged():
+    d = d_of(1, 2, [(1, 2)])
+    text = '{"target":{"num":"1","den":"2"},"terms":[{"num":"1","den":"2"}]}'
+    assert to_json(d) == text
+    assert from_json(text) == d
+    assert from_json(text).terms[0] == Term(1, 2)
+
+
+def test_int_target_and_list_terms_are_coerced():
+    terms = [Term(1, 2), Term(1, 3), Term(1, 6)]
+    d = Decomposition(1, terms)
+    assert type(d.target) is Fraction and d.target == 1
+    assert type(d.terms) is tuple and d.terms == tuple(terms)
+    assert d == Decomposition(Fraction(1), tuple(terms))
+    # A Fraction and a tuple are kept as given.
+    target, given = Fraction(1), tuple(terms)
+    kept = Decomposition(target, given)
+    assert kept.target is target and kept.terms is given
+
+
+def test_an_invalid_decomposition_raises_the_same_error_on_every_call():
+    d = d_of(4, 9, [(1, 4), (1, 4)])
+    message = "invalid decomposition: duplicate denominator, sum mismatch"
+    for _ in range(3):
+        for check in (verify, verify_naive, partial_sums_in_ideal):
+            with pytest.raises(ValueError) as info:
+                check(d)
+            assert str(info.value) == message
+
+
+def test_validate_returns_a_new_list_each_call():
+    d = d_of(4, 9, [(1, 4), (1, 4)])
+    first = validate(d)
+    assert first == ["duplicate denominator", "sum mismatch"]
+    first.clear()
+    assert validate(d) == ["duplicate denominator", "sum mismatch"]
+    good = d_of(4, 9, [(1, 4), (1, 6), (1, 36)])
+    validate(good).append("spoiled")
+    assert validate(good) == []
+    assert verify(good).faithful
+
+
+def test_the_kept_audit_leaves_equality_hash_repr_and_pickle_unchanged():
+    d = d_of(4, 9, [(1, 4), (1, 6), (1, 36)])
+    fresh = d_of(4, 9, [(1, 4), (1, 6), (1, 36)])
+    before = repr(d), hash(d)
+    assert validate(d) == [] and verify(d).faithful  # fills the audit
+    assert "_audit" in vars(d) and "_audit" not in vars(fresh)
+    assert d == fresh and fresh == d
+    assert (repr(d), hash(d)) == before == (repr(fresh), hash(fresh))
+    for original in (d, fresh):
+        back = pickle.loads(pickle.dumps(original))
+        assert back == original and repr(back) == repr(original) and hash(back) == hash(original)
+        assert validate(back) == [] and verify(back) == verify(d)
 
 
 def test_validate_accepts_exact_examples():

@@ -8,9 +8,11 @@ import pytest
 
 from faithfrac import (
     LengthOutcome,
+    Prop6Instance,
     SearchBudget,
     min_length_search,
     prop6_discrepancy_scan,
+    prop7,
     search,
     theorem1,
     verify,
@@ -226,3 +228,23 @@ def test_prop6_scan_excluded_instance_still_agrees():
     report = prop6_discrepancy_scan([4], [9])
     assert report.instances == 1
     assert report.discrepancies == ()
+
+
+def test_prop6_scan_reports_each_disagreement_with_its_fields(monkeypatch):
+    # With the condition negated, every instance of the grid disagrees.
+    real = search.prop6_condition
+    monkeypatch.setattr(search, "prop6_condition", lambda *args: not real(*args))
+    expected = []
+    for m in (3, 4, 5):
+        for n in range(4, 40):
+            if n <= m or gcd(m, n) != 1:
+                continue
+            d = prop7(m, n).decomposition
+            y2, y, x = d.terms[0].den, d.terms[2].den // n, d.terms[2].num
+            condition = not real(m, n, y2, y, x)
+            expected.append(Prop6Instance(m, n, y2, y, x, condition, verify(d).faithful))
+    report = prop6_discrepancy_scan([3, 4, 5], range(4, 40))
+    assert report.instances == len(expected) > 50
+    assert report.discrepancies == tuple(expected)
+    assert not any(inst.agrees for inst in expected)
+    assert {inst.verified for inst in expected} == {True, False}
