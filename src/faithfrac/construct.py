@@ -35,13 +35,15 @@ class TermBudgetExceeded(ValueError):
     """Raised when a greedy head would need more prime terms than max_terms."""
 
 
-# Prime terms the unit head may take unless the caller says otherwise.  Its
-# length grows like exp(exp(m/n)): 11/4 needs 232 terms, while 13/4 and 9/2
-# need thousands to astronomically many.  At 500 terms the closing
-# denominator has about 3000 digits; near 700 it outgrows 4300-digit decimal
-# strings.  The max head of general_coprime grows only linearly in m/n, so it
-# has no default; theorem1's max head of exactly floor(m/n) primes is held to
-# this bound too, since its output past it could not be printed.
+# Prime terms a greedy head may take unless the caller says otherwise.  The
+# unit head's length grows like exp(exp(m/n)): 11/4 needs 232 terms, while
+# 13/4 and 9/2 need thousands to astronomically many.  At 500 terms the
+# closing denominator has about 3000 digits; near 700 it outgrows 4300-digit
+# decimal strings.  The max head grows only linearly in m/n, but past the
+# same length its closer could not be printed either, and a large enough
+# target would run the head for as long as its length, so general_coprime
+# holds both policies, and theorem1's head of exactly floor(m/n) primes, to
+# this bound.
 UNIT_HEAD_MAX_TERMS = 500
 
 
@@ -124,7 +126,7 @@ def _greedy_head(
     omega: frozenset[int],
     policy: str,
     seed: int,
-    max_terms: int | None,
+    max_terms: int,
     candidate: int = 2,
 ) -> tuple[list[tuple[int, int]], list[int], Fraction]:
     """Pick admissible primes from `candidate` up until the remainder falls
@@ -133,7 +135,7 @@ def _greedy_head(
     Unit policy contributes 1/p per prime; max policy contributes (p-1)/p.
     The first `seed` admissible primes are skipped, which is what makes
     distinct seeds land on distinct decompositions.  Raises
-    TermBudgetExceeded before taking a term past max_terms (None: no bound).
+    TermBudgetExceeded before taking a term past max_terms.
     """
     forbidden = (n, *omega)
     rem = value
@@ -141,7 +143,7 @@ def _greedy_head(
     primes: list[int] = []
     skipped = 0
     while rem >= 1:
-        if max_terms is not None and len(head) >= max_terms:
+        if len(head) >= max_terms:
             raise TermBudgetExceeded(f"head would need more than {max_terms} prime terms")
         p = next_prime_avoiding(candidate, forbidden)
         candidate = p + 1
@@ -215,7 +217,7 @@ def general_coprime(
     kept coprime to n and to every element of omega, so the result always
     carries the coprime certificate shape.  The head raises
     TermBudgetExceeded past max_terms prime terms; by default that is
-    UNIT_HEAD_MAX_TERMS under "unit" and no bound under "max".
+    UNIT_HEAD_MAX_TERMS under either policy.
     """
     if numerator_policy not in ("unit", "max"):
         raise ValueError("numerator_policy must be 'unit' or 'max'")
@@ -223,7 +225,7 @@ def general_coprime(
         raise ValueError("seed must be a nonnegative integer")
     value = _check_target(m, n)
     omega_set = _normalized_omega(omega)
-    if max_terms is None and numerator_policy == "unit":
+    if max_terms is None:
         max_terms = UNIT_HEAD_MAX_TERMS
     head, primes, rem = _greedy_head(
         value, n, omega_set, numerator_policy, seed, max_terms

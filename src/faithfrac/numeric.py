@@ -77,9 +77,11 @@ def mod_inverse(a: int, n: int) -> int:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Deterministic Miller-Rabin witness ladders (threshold, witnesses).  The
-# 13-prime set is exact for everything below 3.3e24, well past 2**64; the
-# final fallback set keeps the procedure deterministic for larger inputs.
+# Deterministic Miller-Rabin witness ladders (threshold, witnesses).  Each
+# set is proven exact below its threshold; the 13-prime set covers
+# everything below 3.317e24, well past 2**64.  Above that no fixed set is
+# proven: the 30 fallback bases make a strong probable-prime test, which
+# gives the same answer on every run but proves no prime.
 _MR_LADDER = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
@@ -110,7 +112,10 @@ def _strong_probable_prime(n: int, a: int, d: int, r: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality verdict; deterministic for every input size."""
+    """Primality verdict, proven exact for n < 3.317e24 (the last ladder
+    threshold).  Above that it is a strong probable-prime test to 30 fixed
+    bases: a composite that passes them all would be reported prime, and no
+    proof is made that this cannot happen."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

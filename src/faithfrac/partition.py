@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from .construct import general_coprime
@@ -95,14 +94,17 @@ def s_set(bd: BlockDecomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]
 
 
 def t_set(parts: tuple[int, ...], n: int) -> frozenset[Fraction]:
-    """Subset sums of the block targets m_i/n, empty subset included."""
+    """Subset sums of the block targets m_i/n, empty subset included.
+
+    The integer subset sums of the parts are built one part at a time, a set
+    of at most sum(parts) + 1 values, and divided by n once each.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    sums = {Fraction(0)}
-    for size in range(1, len(parts) + 1):
-        for combo in combinations(range(len(parts)), size):
-            sums.add(Fraction(sum(parts[i] for i in combo), n))
-    return frozenset(sums)
+    sums = {0}
+    for p in parts:
+        sums |= {s + p for s in sums}
+    return frozenset(Fraction(s, n) for s in sums)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,24 @@ times its numerator over L = lcm(b_i).  The fast path reduces membership
 to integer arithmetic: with W = L / gcd(L, n), a lattice sum lies in
 (1/n)Z exactly when sum x_i * (L / b_i) == 0 (mod W).  W is split, by gcds
 alone, into pairwise coprime parts, each involving only the terms whose
-weight L / b_i it does not divide.  Terms of several parts are enumerated;
+share L / b_i it does not divide.  Terms of several parts are enumerated;
 each part then solves its widest coefficient x_k by congruence and walks
-the rest jointly.  A part whose walk has more points than the cap raises
-CapExceeded before anything is enumerated.  The walk hands a visitor one
-row at a time: a setting of every coefficient but x_k, with the range of
-x_k in the ideal.  One row loop (_rows) walks the last part; when W stays
-whole, the usual case for small decompositions, _scan sets up that one
-part and calls it directly, and only a split W builds the other parts'
-solution lists and the loop over shared assignments.  verify keeps the
-colex-minimal point that is neither 0 nor m/n (a row's first or second),
-partial_sums_in_ideal the distinct numerators over L; each builds a
-Fraction only for what it returns.  Every check reads the decomposition's
-structural audit, which is worked out once per instance (model.Decomposition).
+the rest jointly.  Every walk iterates with itertools.product and keeps one
+number per point, its numerator b over L, from which each part q reads its
+residue.  With g = gcd(L / b_k, q) a row is solvable when g | b, and since
+g | q, b // g and (b % q) // g differ by a multiple of q // g, the modulus
+of x_k: b itself gives the row's x_k.  A part whose walk has more points
+than the cap raises CapExceeded before anything is enumerated.  The walk
+hands a visitor one row at a time: a setting of every coefficient but
+x_k, with the range of x_k in the ideal.  One row loop (_rows) walks the
+last part; when W stays whole, the usual case for small decompositions,
+_scan sets up that one part and calls it directly, and only a split W
+builds the other parts' solution lists and the loop over shared
+assignments.  verify keeps the colex-minimal point that is neither 0 nor
+m/n (a row's first or second), partial_sums_in_ideal the distinct
+numerators over L; each builds a Fraction only for what it returns.  Every
+check reads the decomposition's structural audit, which is worked out
+once per instance (model.Decomposition).
 """
 
 from __future__ import annotations
@@ -146,46 +151,23 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     return FaithfulnessReport(False, violation, position, "naive")
 
 
-def _iter_assignments(bounds: list[int], weights: list[int], W: int, start: int = 0):
-    """Yield (digits, residue) over the mixed-radix lattice, last digit
-    fastest.  The digits list is reused in place.  The residue is start +
-    sum(digits[i] * weights[i]) mod W, kept incrementally; 0 <= start < W."""
-    d = len(bounds)
-    digits = [0] * d
-    prefix = [start] * (d + 1)
-    while True:
-        yield digits, prefix[d]
-        i = d - 1
-        while i >= 0 and digits[i] == bounds[i]:
-            digits[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        digits[i] += 1
-        p = prefix[i + 1] + weights[i]
-        if p >= W:
-            p -= W
-        prefix[i + 1] = p
-        for j in range(i + 1, d):
-            prefix[j + 1] = prefix[j]
-
-
-def _plan(W: int, weights: list[int], bounds: list[int]):
+def _plan(W: int, shares: list[int], bounds: list[int]):
     """Split W into coprime parts: (parts, shared terms, private terms per part).
 
-    A term belongs to each part that does not divide its weight.  The last
-    part takes the terms of no part and absorbs the parts with no private
-    term.  W stays whole when its basis (about k**2 gcds for k terms) costs
-    more than the rest lattice it could shrink, or the split is no cheaper.
+    A term belongs to each part that does not divide its share L / b_i.  The
+    last part takes the terms of no part and absorbs the parts with no
+    private term.  W stays whole when its basis (about k**2 gcds for k terms)
+    costs more than the rest lattice it could shrink, or the split is no
+    cheaper.
     """
     single = [W], [], [range(len(bounds))]
     rest = prod(map((1).__add__, bounds)) // (max(bounds) + 1)
     if W == 1 or rest <= len(bounds) ** 2:
         return single
     size = [a + 1 for a in bounds].__getitem__
-    # q divides weight w exactly when q is coprime to W // gcd(w, W), which
-    # is small for most terms, unlike w.
-    cofactors = [W // gcd(w, W) for w in weights]
+    # q divides share s exactly when q is coprime to W // gcd(s, W), which
+    # is small for most terms, unlike s.
+    cofactors = [W // gcd(s, W) for s in shares]
     split = _coprime_split(W, cofactors)  # (part, mask of the terms it does not divide)
     parts = [q for q, _ in split]
     # One pass over the terms: those of exactly one part are its own.
@@ -211,26 +193,26 @@ def _plan(W: int, weights: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(map(size, shared)) * walks < rest else single
 
 
-def _rows(visit, vec, k, rest, bounds, weights, shares, q, g, step, inv, top, s_k, W, walked, cap,
-          start=0, base=0, sols=(), slots=()) -> int:
-    """The last part's rows, from residue start with numerators offset by
-    base; returns walked plus the combinations examined.  The part walks its
-    terms but the widest, k: rest, with their bounds, weights mod q and
-    shares.  It solves w_k * x_k == -r (mod q) for each residue r the walk
-    reaches: solvable when r == 0 (mod g), g = gcd(w_k, q), by every
-    x_k == -(r / g) * inv (mod step) below top.  Each row is visited once per
-    combination of the other parts' solutions sols, written into vec at their
-    slots; a part of its own (no sols) visits each row once."""
+def _rows(visit, vec, k, rest, ranges, shares, g, step, inv, top, s_k, W, walked, cap,
+          base=0, sols=(), slots=()) -> int:
+    """The last part's rows, with numerators offset by base; returns walked
+    plus the combinations examined.  The part walks its terms but the
+    widest, k: rest, over ranges, with their shares.  A row whose numerator
+    is b needs s_k * x_k == -b (mod q) for the part q: solvable when g | b,
+    g = gcd(s_k, q), by every x_k == -(b / g) * inv (mod step) below top.
+    Each row is visited once per combination of the other parts' solutions
+    sols, written into vec at their slots; a part of its own (no sols)
+    visits each row once."""
     copies = prod(map(len, sols)) if sols else 1
-    for xs, r in _iter_assignments(bounds, weights, q, start):
-        if r % g or not (cands := range(-(r // g) * inv % step, top, step)):
+    for xs in iproduct(*ranges):
+        b = base + sum(map(mul, xs, shares))
+        if b % g or not (cands := range(-(b // g) * inv % step, top, step)):
             continue
         walked += len(cands) * copies
         if walked > cap:
             raise CapExceeded(_OVER.format(cap))
         for i, x in zip(rest, xs):
             vec[i] = x
-        b = base + sum(map(mul, xs, shares))
         # Every visited point is in (1/n)Z: each row's first point is checked.
         if not sols:
             if (b + cands[0] * s_k) % W:
@@ -258,31 +240,32 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
     widest, k; a walk past the cap is refused before anything is enumerated.
     A single part (W kept whole) goes straight to its rows.  Otherwise, under
     each shared assignment, every part but the last lists its solutions, and
-    each row of the last part comes once per combination."""
+    each row of the last part comes once per combination.  Every walk sums
+    the same numerators over L and reads a part's residues from them."""
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
     W = L // gcd(L, n)
     # A point's value is sum(x_i * shares[i]) / L, exact in integers; it is
     # in (1/n)Z exactly when that sum is 0 (mod W).
     shares = [L // t.den for t in d.terms]
-    weights = [s % W for s in shares]
-    parts, shared, private = _plan(W, weights, bounds)
+    parts, shared, private = _plan(W, shares, bounds)
     # The loop ends on the last part, whose rows are walked; the others are kept
     # as their solutions list them.
     others, slots = [], []
     for q, ts in zip(parts, private):
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
-        rest_bounds = [bounds[i] for i in rest]
-        walk = prod(map((1).__add__, rest_bounds))
+        ranges = [range(bounds[i] + 1) for i in rest]
+        walk = prod(map(len, ranges))
         if walk > cap:
             raise CapExceeded(f"walk of {walk} points exceeds cap {cap}")
-        step = q // (g := gcd(weights[k], q))
-        inv = pow(weights[k] // g, -1, step) if step > 1 else 0  # coprime to step
-        rest_weights = [weights[i] % q for i in rest]
+        # g divides q, so a numerator b and its residue b % q give the same
+        # b // g modulo step = q // g: rows are solved from b itself.
+        step = q // (g := gcd(shares[k], q))
+        inv = pow(shares[k] // g, -1, step) if step > 1 else 0  # coprime to step
         rest_shares = [shares[i] for i in rest]
         if ts is not private[-1]:
-            others.append((q, rest_bounds, rest_weights, rest_shares, g, step, inv, walk, bounds[k] + 1, shares[k]))
+            others.append((ranges, rest_shares, g, step, inv, walk, bounds[k] + 1, shares[k]))
             slots.append([*rest, k])
     top, s_k = bounds[k] + 1, shares[k]
     # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
@@ -290,20 +273,21 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         raise RuntimeError(_OUTSIDE)
     vec = [0] * len(bounds)
     if not others:
-        return _rows(visit, vec, k, rest, rest_bounds, rest_weights, rest_shares, q, g, step, inv, top, s_k, W, walk, cap)
+        return _rows(visit, vec, k, rest, ranges, rest_shares, g, step, inv, top, s_k, W, walk, cap)
     shared_shares = [shares[i] for i in shared]
     combos = 0
-    for digits, s in _iter_assignments([bounds[i] for i in shared], [weights[i] for i in shared], W):
+    for digits in iproduct(*[range(bounds[i] + 1) for i in shared]):
         combos += 1
         for i, x in zip(shared, digits):
             vec[i] = x
+        base = sum(map(mul, digits, shared_shares))
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
-        for q_j, bounds_j, weights_j, shares_j, g_j, step_j, inv_j, walk_j, top_j, s_j in others:
+        for ranges_j, shares_j, g_j, step_j, inv_j, walk_j, top_j, s_j in others:
             found = []
-            for xs, r in _iter_assignments(bounds_j, weights_j, q_j, s % q_j):
-                if not r % g_j:
-                    num = sum(map(mul, xs, shares_j))
+            for xs in iproduct(*ranges_j):
+                num = sum(map(mul, xs, shares_j))
+                if not (r := base + num) % g_j:
                     found += [((*xs, x), num + x * s_j) for x in range(-(r // g_j) * inv_j % step_j, top_j, step_j)]
                     if walk_j + len(found) > cap:
                         raise CapExceeded(_OVER.format(cap))
@@ -312,8 +296,8 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
                 break
             sols.append(found)
         else:
-            combos += _rows(visit, vec, k, rest, rest_bounds, rest_weights, rest_shares, q, g, step, inv, top, s_k, W,
-                            walk, cap, s % q, sum(map(mul, digits, shared_shares)), sols, slots)
+            combos += _rows(visit, vec, k, rest, ranges, rest_shares, g, step, inv, top, s_k, W,
+                            walk, cap, base, sols, slots)
         if combos > cap:
             raise CapExceeded(_OVER.format(cap))
     return combos

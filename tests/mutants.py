@@ -21,7 +21,9 @@ that turns a cap check into >= where the count checked is always below the
 final count (the other parts' listing, which the shared assignment and the
 last part's walk always follow), or one that drops the oracle's early
 answer on a hit at x_j = 0 or fixes its row coefficient at x_1, which change
-how much of the lattice it reads but none of its reports.
+how much of the lattice it reads but none of its reports, or one that
+reduces a row's numerator b mod q (or W) before solving it, which g | q
+makes give the same x_k.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 SEARCH_TESTS = ("tests/test_search.py",)
 MODEL_TESTS = ("tests/test_model.py",)
+PARTITION_TESTS = ("tests/test_partition.py",)
+# Only the test that fails at once: unbounded, the other budget tests run a
+# head of about 10**6 primes.
+BUDGET_TEST = ("tests/test_construct.py::test_largest_max_block_that_builds",)
 
 MUTANTS = [
     # verifier._scan and its visitors: rows instead of points.
@@ -46,9 +52,9 @@ MUTANTS = [
     ("partial-sums range steps without * s_k", "verifier.py",
      "r.step * s)))", "r.step)))", VERIFIER_TESTS),
     ("row step off by one", "verifier.py",
-     "step = q // (g := gcd(weights[k], q))", "step = q // (g := gcd(weights[k], q)) + 1", VERIFIER_TESTS),
-    ("one-part entry starts from a nonzero residue", "verifier.py",
-     "          start=0, base=0,", "          start=1, base=0,", VERIFIER_TESTS),
+     "step = q // (g := gcd(shares[k], q))", "step = q // (g := gcd(shares[k], q)) + 1", VERIFIER_TESTS),
+    ("one-part entry starts from a nonzero numerator", "verifier.py",
+     "          base=0, sols=(),", "          base=1, sols=(),", VERIFIER_TESTS),
     ("single part counted as one shared assignment", "verifier.py",
      "        return _rows(", "        return 1 + _rows(", VERIFIER_TESTS),
     ("one-part rows counted as no combinations", "verifier.py",
@@ -65,14 +71,18 @@ MUTANTS = [
      "if walked > cap:", "if walked >= cap:", VERIFIER_TESTS),
     ("up-front walk refusal dropped", "verifier.py",
      "        if walk > cap:\n", "        if False:\n", VERIFIER_TESTS),
-    ("another part's start residue ignored", "verifier.py",
-     "q_j, s % q_j)", "q_j, 0)", VERIFIER_TESTS),
-    ("the last part's start residue ignored", "verifier.py",
-     "walk, cap, s % q,", "walk, cap, 0,", VERIFIER_TESTS),
+    ("another part's numerator without the shared base", "verifier.py",
+     "(r := base + num)", "(r := num)", VERIFIER_TESTS),
+    ("the last part's rows with base 0", "verifier.py",
+     "walk, cap, base, sols, slots)", "walk, cap, 0, sols, slots)", VERIFIER_TESTS),
     ("another part's numerator dropped", "verifier.py",
      "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
     ("residue-0 shared assignments dropped", "verifier.py",
-     "        combos += 1\n", "        combos += 1\n        if not s:\n            continue\n", VERIFIER_TESTS),
+     "        base = sum(map(mul, digits, shared_shares))\n",
+     "        base = sum(map(mul, digits, shared_shares))\n        if not base % W:\n            continue\n",
+     VERIFIER_TESTS),
+    ("the plan's cofactors all W", "verifier.py",
+     "cofactors = [W // gcd(s, W) for s in shares]", "cofactors = [W for s in shares]", VERIFIER_TESTS),
     ("terms of no part dropped", "verifier.py",
      "for i, owners in mixed if folded.issuperset(owners)]",
      "for i, owners in mixed if owners and folded.issuperset(owners)]", VERIFIER_TESTS),
@@ -83,6 +93,13 @@ MUTANTS = [
      "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
     ("split's rest half with the value's bit", "numeric.py",
      "split.append((rest, mask))", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
+    # partition.t_set, the subset sums S is compared against.
+    ("subset sums of single parts only", "partition.py",
+     "sums |= {s + p for s in sums}", "sums |= {p}", PARTITION_TESTS),
+    # construct.general_coprime's head budget.
+    ("max head left without a budget", "construct.py",
+     "    if max_terms is None:\n", "    if max_terms is None and numerator_policy == \"unit\":\n",
+     BUDGET_TEST),
     # verifier.verify_naive, the reference.
     ("oracle's colex position off by one", "verifier.py",
      "row // group * width) + 1\n", "row // group * width)\n", VERIFIER_TESTS),

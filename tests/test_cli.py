@@ -210,6 +210,19 @@ def test_decompose_theorem1_head_past_budget_exits_three(capsys):
     assert err.startswith("error: ") and "prime terms" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "1000000", "1", "--strategy", "partition", "--parts", "1000000"],
+    ["partition-check", "1000000", "1", "--parts", "1000000"],
+])
+def test_partition_max_head_past_budget_exits_three(capsys, argv):
+    # A max-policy block of 10**6 needs about 10**6 prime terms; with no
+    # budget on that policy these calls did not return.
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "error: head would need more than 500 prime terms\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    PartitionSpec,
     TermBudgetExceeded,
     all_units_but_one,
     coprime_shape,
+    decompose_partition,
     from_perfect,
     general_coprime,
     prop6_condition,
@@ -220,6 +222,26 @@ def test_unit_head_has_a_default_budget(m, n):
         all_units_but_one(m, n)
     with pytest.raises(TermBudgetExceeded):
         general_coprime(m, n, "unit")
+
+
+def test_max_head_has_the_same_default_budget():
+    # About 10**6 prime terms of (p-1)/p each; unbounded, this did not return.
+    with pytest.raises(TermBudgetExceeded, match="more than 500 prime terms"):
+        general_coprime(10**6, 1, "max")
+
+
+def test_largest_max_block_that_builds():
+    # 498/1 takes exactly the 500 prime terms the budget allows; 499/1 would
+    # need one more.
+    built = general_coprime(498, 1, "max")
+    assert len(built.trace.primes_used) == 500
+    assert len(built.decomposition.terms) == 502
+    with pytest.raises(TermBudgetExceeded):
+        general_coprime(499, 1, "max")
+    bd = decompose_partition(PartitionSpec(498, (498,)), 1)
+    assert bd.blocks == (built.decomposition,)
+    with pytest.raises(TermBudgetExceeded):
+        decompose_partition(PartitionSpec(499, (499,)), 1)
 
 
 def test_seed_changes_output_but_not_faithfulness():

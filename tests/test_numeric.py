@@ -1,6 +1,7 @@
 """Tests for the integer primitives."""
 
 import math
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,18 @@ def test_is_prime_matches_trial_division_below_2000():
 
     for n in range(1, 2000):
         assert is_prime(n) == slow(n)
+
+
+def test_is_prime_matches_trial_division_below_100000():
+    # Trial division by the primes found so far, up to the square root.
+    primes = []
+    for n in range(2, 100_000):
+        prime = all(n % p for p in takewhile(math.isqrt(n).__ge__, primes))
+        assert is_prime(n) == prime, n
+        if prime:
+            primes.append(n)
+    assert len(primes) == 9592
+    assert not is_prime(0) and not is_prime(1)
 
 
 def successive_primes_avoiding(lower, forbidden, count):

@@ -1,6 +1,7 @@
 """Per-part block construction and the subset-sum identity S = T."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -89,6 +90,32 @@ def test_s_set_single_block():
 )
 def test_t_set_subset_sums(parts, n, expected):
     assert t_set(parts, n) == expected
+
+
+def _partitions(m, top=None):
+    top = m if top is None else top
+    if not m:
+        yield ()
+        return
+    for p in range(min(m, top), 0, -1):
+        for rest in _partitions(m - p, p):
+            yield (p, *rest)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 9])
+def test_t_set_matches_its_subset_definition(n):
+    # Every subset of the parts by index, sizes 0 to e, each summed over n.
+    for m in range(1, 9):
+        for parts in _partitions(m):
+            want = {Fraction(sum(parts[i] for i in combo), n)
+                    for size in range(len(parts) + 1)
+                    for combo in combinations(range(len(parts)), size)}
+            assert t_set(parts, n) == want
+
+
+def test_t_set_of_many_parts_is_a_set_not_a_subset_walk():
+    # 2**40 subsets, but only 41 distinct sums.
+    assert t_set((1,) * 40, 41) == {Fraction(s, 41) for s in range(41)}
 
 
 def test_check_known_partitions():
