@@ -302,7 +302,9 @@ def prop6_condition(m: int, n: int, y2: int, y: int, x: int) -> bool:
     y1 = den // num
     if len({y2, y1, y * n}) != 3:
         raise ValueError("denominators are not distinct")
-    return all(n != mp * y2 for mp in range(1, m))
+    # num > 0 gives m*y2 > n, so every multiple of y2 up to n is m'*y2 with
+    # 0 < m' < m, and n avoids them all exactly when y2 does not divide it.
+    return n % y2 != 0
 
 
 def prop7(m: int, n: int) -> Built:
@@ -310,9 +312,12 @@ def prop7(m: int, n: int) -> Built:
     its trace's predicted_faithful.
 
     With r = -2n mod m, the branch follows 2n+r mod 2m: the residue m gives
-    case 1, the residue 0 gives case 2.  The prediction is exact: the result
-    is faithful iff the final numerator stays below its progression modulus
-    and n is not m'*y2 for any 0 < m' < m.
+    case 1, the residue 0 gives case 2.  The prediction is
+    prop6_condition(m, n, y2, c, x) for the result 1/y2 + 1/(y2*c) + x/(c*n),
+    whose hypotheses hold by construction.  The validated sum makes the middle
+    term the unit fraction 1/(y2*c), over three distinct denominators.  Case 1
+    has y2 = (k+1)/2 and c = k, case 2 has y2 = k/2 + 1 and c = k/2, so c and
+    y2 are coprime.  And gcd(m, n) = 1 with m >= 3 makes x >= 1.
     """
     value = _check_target(m, n)
     if m < 3:
@@ -333,7 +338,7 @@ def prop7(m: int, n: int) -> Built:
         x_num = r // 2
     terms = [(1, a_den), (1, a_den * c), (x_num, c * n)]
     d = _settle(decomposition(value, terms))
-    predicted = x_num < c and all(n != mp * a_den for mp in range(1, m))
+    predicted = prop6_condition(m, n, a_den, c, x_num)
     return Built(d, ConstructionTrace(branch=branch, predicted_faithful=predicted))
 
 

@@ -19,12 +19,10 @@ from typing import Any, Iterable, Sequence
 __all__ = [
     "Term",
     "Decomposition",
-    "TermFlags",
-    "StructureReport",
     "decomposition",
     "validate",
     "scale",
-    "necessary_conditions",
+    "max_numerator",
     "coprime_shape",
     "to_json_dict",
     "from_json_dict",
@@ -118,45 +116,16 @@ def scale(d: Decomposition, c: int) -> Decomposition:
     return Decomposition(d.target / c, tuple(Term(t.num, t.den * c) for t in d.terms))
 
 
-@dataclass(frozen=True)
-class TermFlags:
-    """Necessary-condition flags for one term; True marks a violation."""
+def max_numerator(b: int, n: int) -> int:
+    """The largest numerator a faithful term over b can carry in a
+    decomposition of m/n: the largest a with a * gcd(b, n) < b.
 
-    den_divides_n: bool
-    numerator_too_big: bool
-
-    @property
-    def clear(self) -> bool:
-        return not (self.den_divides_n or self.numerator_too_big)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    per_term: tuple[TermFlags, ...]
-    pairwise_coprime_shape: bool
-
-    @property
-    def all_clear(self) -> bool:
-        return all(f.clear for f in self.per_term)
-
-
-def necessary_conditions(d: Decomposition) -> StructureReport:
-    """Flag terms that rule faithfulness out before any enumeration.
-
-    A faithful decomposition of m/n with two or more terms never has b | n,
-    and always has a * gcd(b, n) < b for every written term a/b.  The
-    argument needs every term strictly below the target, so the degenerate
-    single-term decomposition of a unit fraction is faithful yet flagged.
+    It is 0 exactly when b divides n, so no faithful decomposition with two
+    or more terms has such a denominator.  The argument needs every term
+    strictly below the target, so the degenerate single-term decomposition
+    of a unit fraction is faithful yet breaks the bound.
     """
-    n = d.target.denominator
-    flags = tuple(
-        TermFlags(
-            den_divides_n=(n % t.den == 0),
-            numerator_too_big=(t.num * gcd(t.den, n) >= t.den),
-        )
-        for t in d.terms
-    )
-    return StructureReport(per_term=flags, pairwise_coprime_shape=coprime_shape(d))
+    return (b - 1) // gcd(b, n)
 
 
 def coprime_shape(d: Decomposition) -> bool:
@@ -175,14 +144,10 @@ def coprime_shape(d: Decomposition) -> bool:
         return False
     if any(t.num >= t.den for t in head):
         return False
-    if last.den != n * prod(t.den for t in head):
-        return False
-    moduli = [n] + [t.den for t in head]
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if gcd(moduli[i], moduli[j]) != 1:
-                return False
-    return True
+    dens = [t.den for t in head]
+    # n and the head's denominators are pairwise coprime exactly when their
+    # product equals their lcm.
+    return last.den == n * prod(dens) == lcm(n, *dens)
 
 
 def _too_long() -> ValueError:

@@ -3,9 +3,9 @@ scanner that stress-tests the three-term arithmetic condition.
 
 The length searcher proves statements of the form "m/n has no faithful
 decomposition with at most L terms and denominators at most B" by exhausting
-the bounded space, pruning with the necessary conditions (no denominator
-divides n, every numerator a satisfies a*gcd(b,n) < b) and with remaining-sum
-intervals, all in integer numerators over D = lcm(n, b_i).
+the bounded space, pruning with the necessary conditions (a term over b
+carries at most model.max_numerator(b, n), which is 0 when b divides n) and
+with remaining-sum intervals, all in integer numerators over D = lcm(n, b_i).
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Callable, Iterable, Iterator
 
-from .construct import prop7, prop6_condition
-from .model import Decomposition, decomposition
+from .construct import prop7
+from .model import Decomposition, decomposition, max_numerator
 from .verifier import DEFAULT_CAP, CapExceeded, verify
 
 __all__ = [
@@ -118,11 +118,6 @@ def _sampled_sets(
             yield tuple(map(member, _colex_unrank(rank, size)))
 
 
-def _max_numerator(b: int, n: int) -> int:
-    # Largest a with a*gcd(b, n) < b; at least 1 when b does not divide n.
-    return (b - 1) // gcd(b, n)
-
-
 def min_length_search(
     m: int,
     n: int,
@@ -146,13 +141,10 @@ def min_length_search(
     target = Fraction(m, n)
     B = budget.max_denominator
 
-    def in_pool(b: int) -> bool:
-        # The denominator pool is 2..B less the divisors of n.
-        return n % b != 0
-
     if shuffle_seed is not None:
-        # The pool's size, and its i-th member, for sets drawn by rank.
-        skipped = [b for b in range(2, min(n, B) + 1) if not in_pool(b)]
+        # The pool's size, and its i-th member, for sets drawn by rank: the
+        # pool is 2..B less the b that can carry no numerator (the divisors of n).
+        skipped = [b for b in range(2, min(n, B) + 1) if not max_numerator(b, n)]
         pool_size = B - 1 - len(skipped)
 
         def member(i: int) -> int:
@@ -214,7 +206,8 @@ def min_length_search(
         if cap_hit:
             outcomes.append(LengthOutcome(length, None, False))
             continue
-        sets: Iterable[tuple[int, ...]] = _colex_sets(filter(in_pool, range(2, B + 1)), length)
+        pool = (b for b in range(2, B + 1) if max_numerator(b, n))
+        sets: Iterable[tuple[int, ...]] = _colex_sets(pool, length)
         if shuffle_seed is not None:
             # A set is entered only while combos <= cap and costs at least
             # one combo, so at most cap - combos + 1 sets are ever entered.
@@ -229,7 +222,7 @@ def min_length_search(
         for dens in sets:
             D = lcm(n, *dens)
             weights = [D // b for b in dens]
-            his = [_max_numerator(b, n) for b in dens]
+            his = [max_numerator(b, n) for b in dens]
             tail_min = [sum(weights[j + 1 :]) for j in range(length)]
             tail_max = [
                 sum(h * w for h, w in zip(his[j + 1 :], weights[j + 1 :]))
@@ -271,8 +264,9 @@ def prop6_discrepancy_scan(
 ) -> Prop6ScanReport:
     """Compare the arithmetic condition against enumeration over a grid.
 
-    Each (m, n) is built by the three-term constructor prop7.  An empty
-    discrepancy list is evidence the condition is exact on the grid.
+    Each (m, n) is built by the three-term constructor prop7, whose trace
+    carries prop6_condition's verdict.  An empty discrepancy list is evidence
+    the condition is exact on the grid.
     """
     count = 0
     bad: list[Prop6Instance] = []
@@ -280,13 +274,14 @@ def prop6_discrepancy_scan(
         for n in n_values:
             if m < 3 or n <= m or gcd(m, n) != 1:
                 continue
-            d = prop7(m, n).decomposition
-            y2 = d.terms[0].den
-            y = d.terms[2].den // n
-            x = d.terms[2].num
-            condition = prop6_condition(m, n, y2, y, x)
+            built = prop7(m, n)
+            d = built.decomposition
+            condition = built.trace.predicted_faithful
             verified = verify(d).faithful
             count += 1
             if condition != verified:  # only a disagreement is kept
-                bad.append(Prop6Instance(m, n, y2, y, x, condition, verified))
+                first, _, last = d.terms
+                bad.append(Prop6Instance(
+                    m, n, first.den, last.den // n, last.num, condition, verified
+                ))
     return Prop6ScanReport(count, tuple(bad))

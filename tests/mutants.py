@@ -41,6 +41,7 @@ VERIFIER_TESTS = ("tests/test_verifier.py",)
 SEARCH_TESTS = ("tests/test_search.py",)
 MODEL_TESTS = ("tests/test_model.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
+PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
 # Only the test that fails at once: unbounded, the other budget tests run a
 # head of about 10**6 primes.
 BUDGET_TEST = ("tests/test_construct.py::test_largest_max_block_that_builds",)
@@ -122,6 +123,23 @@ MUTANTS = [
      "if type(self.target) is not Fraction:", "if type(self.target) not in (Fraction, int):", MODEL_TESTS),
     ("bool accepted as a term's numerator", "model.py",
      "if type(num) is bool or type(den) is bool or", "if type(den) is bool or", MODEL_TESTS),
+    # model.max_numerator, the one statement of the necessary conditions.
+    ("numerator bound without its - 1", "model.py",
+     "return (b - 1) // gcd(b, n)", "return b // gcd(b, n)", MODEL_TESTS),
+    ("numerator bound without the gcd, under the search tests", "model.py",
+     "return (b - 1) // gcd(b, n)", "return b - 1", SEARCH_TESTS),
+    ("search pool keeps the divisors of n", "search.py",
+     "range(2, B + 1) if max_numerator(b, n))", "range(2, B + 1))", SEARCH_TESTS),
+    # model.coprime_shape: pairwise coprime moduli as product == lcm.
+    ("coprime shape without the lcm check", "model.py",
+     "return last.den == n * prod(dens) == lcm(n, *dens)", "return last.den == n * prod(dens)", MODEL_TESTS),
+    # construct.prop6_condition's O(1) verdict.
+    ("prop6 verdict without its divisibility test", "construct.py",
+     "    return n % y2 != 0\n", "    return True\n", PROP6_TESTS),
+    ("prop6 verdict tests y2 | m instead of y2 | n", "construct.py",
+     "    return n % y2 != 0\n", "    return m % y2 != 0\n", PROP6_TESTS),
+    ("prop7 predicts faithful when x < c alone", "construct.py",
+     "predicted = prop6_condition(m, n, a_den, c, x_num)", "predicted = x_num < c", PROP6_TESTS),
     # search.prop6_discrepancy_scan keeps only disagreements.
     ("prop6 scan reports agreements", "search.py",
      "if condition != verified:", "if condition == verified:", SEARCH_TESTS),

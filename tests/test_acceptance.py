@@ -19,8 +19,8 @@ from faithfrac import (
     coprime_shape,
     decomposition,
     from_perfect,
+    max_numerator,
     min_length_search,
-    necessary_conditions,
     prop7,
     scale,
     theorem1,
@@ -210,16 +210,17 @@ def test_preservation_and_certificate_properties():
                 ok &= rep.violation.value == slow.violation.value
         if rep.faithful:
             if len(d.terms) > 1:
-                # the structural flags assume every term is strictly below
-                # the target; a lone self-term is faithful but flagged
-                ok &= necessary_conditions(d).all_clear
+                # the numerator bound assumes every term is strictly below
+                # the target; a lone self-term is faithful but breaks it
+                n = d.target.denominator
+                ok &= all(t.num <= max_numerator(t.den, n) for t in d.terms)
             c = rng.randint(1, 10)
             ok &= verify(scale(d, c)).faithful
         if coprime_shape(d):
             ok &= rep.faithful
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 300.0
-    report(ok, "scaling, structural flags, certificate on 500 decompositions", f"{checked_agreement} oracle agreements, {elapsed:.1f}s")
+    report(ok, "scaling, numerator bounds, certificate on 500 decompositions", f"{checked_agreement} oracle agreements, {elapsed:.1f}s")
 
 
 def test_two_term_determinism():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -269,6 +270,22 @@ def test_decompose_prop7_unfaithful_instance(capsys):
     payload = json.loads(out)
     assert payload["predicted_faithful"] is False
     assert payload["certificate"]["faithful"] is False
+
+
+def test_decompose_prop7_large_numerator_is_quick(capsys):
+    # The Prop 6 verdict is O(1) in m; testing n against each m'*y2 with
+    # 0 < m' < m in turn made this call take about 10 s.
+    t0 = time.perf_counter()
+    code, out, _ = run(["decompose", "100000000", "499999999", "--strategy", "prop7"], capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == (
+        '{"decomposition":{"target":{"num":"100000000","den":"499999999"},"terms":['
+        '{"num":"1","den":"6"},{"num":"1","den":"30"},{"num":"1","den":"2499999995"}]},'
+        '"predicted_faithful":true,"certificate":{"faithful":true,"method":"congruence",'
+        '"combos_examined":"6","violation":null}}\n'
+    )
+    assert elapsed < 1.0
 
 
 def test_decompose_partition_strategy(capsys):

@@ -15,7 +15,7 @@ from faithfrac import (
     decomposition,
     from_json,
     from_json_dict,
-    necessary_conditions,
+    max_numerator,
     partial_sums_in_ideal,
     scale,
     to_json,
@@ -173,26 +173,32 @@ def test_scale_keeps_validity(c):
     assert scaled.target == d.target / c
 
 
-def test_necessary_conditions_flags():
-    clean = necessary_conditions(d_of(4, 9, [(1, 4), (1, 6), (1, 36)]))
-    assert clean.all_clear
+def within_bounds(d):
+    n = d.target.denominator
+    return [t.num <= max_numerator(t.den, n) for t in d.terms]
 
-    both_divide = necessary_conditions(d_of(5, 6, [(1, 2), (1, 3)]))
-    assert all(f.den_divides_n for f in both_divide.per_term)
-    assert not both_divide.all_clear
+
+def test_max_numerator_examples():
+    assert within_bounds(d_of(4, 9, [(1, 4), (1, 6), (1, 36)])) == [True] * 3
+
+    # both denominators divide n, so neither can carry a numerator
+    assert max_numerator(2, 6) == max_numerator(3, 6) == 0
+    assert within_bounds(d_of(5, 6, [(1, 2), (1, 3)])) == [False, False]
 
     # 1/3 written against n=9: numerator already at the b/(b,n) ceiling
-    too_big = necessary_conditions(d_of(4, 9, [(1, 3), (1, 15), (2, 45)]))
-    assert too_big.per_term[0].numerator_too_big
-    assert not too_big.all_clear
+    assert within_bounds(d_of(4, 9, [(1, 3), (1, 15), (2, 45)])) == [False, True, True]
+    # b does not divide n, yet a*gcd(b, n) < b allows only a = 1
+    assert max_numerator(6, 9) == 1
+    assert max_numerator(7, 9) == 6
 
 
-def test_single_self_term_is_flagged_despite_being_faithful():
-    # the flags' argument needs >= 2 terms; [1/75] decomposing 1/75 is the
+def test_single_self_term_breaks_the_bound_despite_being_faithful():
+    # the bound's argument needs >= 2 terms; [1/75] decomposing 1/75 is the
     # degenerate case where the lattice jumps straight from 0 to the target
-    report = necessary_conditions(d_of(1, 75, [(1, 75)]))
-    assert report.per_term[0].den_divides_n
-    assert not report.all_clear
+    d = d_of(1, 75, [(1, 75)])
+    assert max_numerator(75, 75) == 0
+    assert within_bounds(d) == [False]
+    assert verify(d).faithful
 
 
 def test_coprime_shape_examples():
@@ -200,6 +206,9 @@ def test_coprime_shape_examples():
     assert coprime_shape(d_of(9, 5, [(1, 2), (1, 3), (28, 29), (1, 870)]))
     # faithful but the certificate does not apply: gcd(4, 6) = 2
     assert not coprime_shape(d_of(4, 9, [(1, 4), (1, 6), (1, 36)]))
+    # the last denominator is n * 2 * 4, but gcd(2, 4) = 2; coprime_shape
+    # reads only the target's denominator, so the sum need not match
+    assert not coprime_shape(Decomposition(Fraction(1, 3), (Term(1, 2), Term(1, 4), Term(1, 24))))
     assert not coprime_shape(Decomposition(Fraction(0), ()))
 
 

@@ -10,6 +10,7 @@ from faithfrac import (
     LengthOutcome,
     Prop6Instance,
     SearchBudget,
+    construct,
     min_length_search,
     prop6_discrepancy_scan,
     prop7,
@@ -232,8 +233,8 @@ def test_prop6_scan_excluded_instance_still_agrees():
 
 def test_prop6_scan_reports_each_disagreement_with_its_fields(monkeypatch):
     # With the condition negated, every instance of the grid disagrees.
-    real = search.prop6_condition
-    monkeypatch.setattr(search, "prop6_condition", lambda *args: not real(*args))
+    real = construct.prop6_condition
+    monkeypatch.setattr(construct, "prop6_condition", lambda *args: not real(*args))
     expected = []
     for m in (3, 4, 5):
         for n in range(4, 40):
