@@ -1,13 +1,13 @@
 """Command line front end: construct, verify, tabulate, and check.
 
-Each ``cmd_*`` returns ``(code, payload, lines)``: the exit code, the JSON
-payload printed under ``--format json`` and the lines printed otherwise
-(``table`` prints the same comma layout under ``csv`` and ``text``).  A
-usage error is a ``ValueError``.  Only ``main`` prints, and only ``main``
-maps exceptions to exit codes: 0 success (faithful / search completed), 1
-unfaithful or a discrepancy found, 2 usage or input error, 3 enumeration
-budget exhausted.  JSON output is byte-stable: fixed key order, integers as
-decimal strings so arbitrary precision survives every consumer.
+Each ``cmd_*`` returns ``(code, payload, lines)``: the exit code, the
+payload of library values printed under ``--format json`` and the lines
+printed otherwise (``table`` prints the same comma layout under ``csv`` and
+``text``).  A usage error is a ``ValueError``.  Only ``main`` prints, and
+only ``main`` maps exceptions to exit codes: 0 success (faithful / search
+completed), 1 unfaithful or a discrepancy found, 2 usage or input error, 3
+enumeration budget exhausted.  JSON output is byte-stable, with a fixed key
+order; the wire rule for its values is stated once, in ``_wire``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .construct import (
     theorem4,
     two_term,
 )
-from .model import Decomposition, coprime_shape, from_json, to_json_dict
+from .model import Decomposition, _too_long, coprime_shape, from_json, to_json_dict
 from .partition import PartitionCheck, PartitionSpec, check_partition_theorem
 from .search import SearchBudget, min_length_search, prop6_discrepancy_scan
 from .verifier import DEFAULT_CAP, CapExceeded, FaithfulnessReport, verify, verify_naive
@@ -43,41 +43,48 @@ EXIT_BUDGET = 3
 Result = tuple[int, Any, list[str]]
 
 
-def _frac_dict(f: Fraction) -> dict[str, str]:
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+def _wire(obj: Any) -> Any:
+    """The printed form of a payload: every integer becomes a decimal string,
+    so arbitrary precision survives every consumer, and one past the
+    interpreter's limit raises the model's one error for it."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, int):
+        try:
+            return str(obj)
+        except ValueError:  # past int_max_str_digits; nothing else raises it
+            raise _too_long() from None
+    if isinstance(obj, Fraction):
+        return {"num": _wire(obj.numerator), "den": _wire(obj.denominator)}
+    if isinstance(obj, Decomposition):
+        return to_json_dict(obj)
+    if isinstance(obj, dict):
+        return {key: _wire(value) for key, value in obj.items()}
+    return [_wire(value) for value in obj]  # a list or tuple
 
 
 def _report_dict(r: FaithfulnessReport) -> dict[str, Any]:
-    violation = None
-    if r.violation is not None:
-        violation = {
-            "coefficients": [str(c) for c in r.violation.coefficients],
-            "value": _frac_dict(r.violation.value),
-        }
     return {
         "faithful": r.faithful,
         "method": r.method,
-        "combos_examined": str(r.combos_examined),
-        "violation": violation,
+        "combos_examined": r.combos_examined,
+        "violation": None if r.violation is None else vars(r.violation),
     }
 
 
 def _trace_dict(t: ConstructionTrace) -> dict[str, Any]:
-    bezout = None
-    if t.bezout is not None:
-        bezout = {"x": str(t.bezout.x), "y": str(t.bezout.y)}
     return {
-        "primes_used": [str(p) for p in t.primes_used],
-        "bezout": bezout,
-        "progression_steps": str(t.progression_steps),
+        "primes_used": t.primes_used,
+        "bezout": None if t.bezout is None else t.bezout._asdict(),
+        "progression_steps": t.progression_steps,
         "branch": t.branch,
-        "applied_scaling": None if t.applied_scaling is None else str(t.applied_scaling),
-        "avoided": [str(w) for w in t.avoided],
+        "applied_scaling": t.applied_scaling,
+        "avoided": t.avoided,
     }
 
 
 def _render_terms(d: Decomposition) -> str:
-    return " + ".join(f"{t.num}/{t.den}" for t in d.terms)
+    return " + ".join(f"{t['num']}/{t['den']}" for t in _wire(d)["terms"])
 
 
 def _render(d: Decomposition) -> str:
@@ -126,20 +133,16 @@ def cmd_verify(args: argparse.Namespace) -> Result:
         line = f"faithful ({report.method}, {report.combos_examined} combinations)"
     else:
         v = report.violation
-        coeffs = ",".join(str(c) for c in v.coefficients)
+        coeffs = ",".join(_wire(v.coefficients))
         line = f"unfaithful: coefficients ({coeffs}) give {v.value}"
     return EXIT_OK if report.faithful else EXIT_UNFAITHFUL, _report_dict(report), [line]
 
 
 def _check_parts(args: argparse.Namespace) -> tuple[list[int], PartitionCheck, dict[str, Any]]:
-    """Parse --parts, check the partition theorem for m/n, serialise S and T."""
+    """Parse --parts, check the partition theorem for m/n, list S and T."""
     parts = _parse_int_list(args.parts, "--parts")
     check = check_partition_theorem(PartitionSpec(args.m, tuple(parts)), args.n, cap=args.cap)
-    sets = {
-        "s": [_frac_dict(v) for v in sorted(check.s)],
-        "t": [_frac_dict(v) for v in sorted(check.t)],
-        "sets_equal": check.equal,
-    }
+    sets = {"s": sorted(check.s), "t": sorted(check.t), "sets_equal": check.equal}
     return parts, check, sets
 
 
@@ -172,9 +175,9 @@ def cmd_decompose(args: argparse.Namespace) -> Result:
         _, check, sets = _check_parts(args)
         bd = check.block_decomposition
         out: dict[str, Any] = {
-            "decomposition": to_json_dict(bd.combined),
-            "parts": [str(p) for p in bd.parts],
-            "blocks": [to_json_dict(block)["terms"] for block in bd.blocks],
+            "decomposition": bd.combined,
+            "parts": bd.parts,
+            "blocks": [_wire(block)["terms"] for block in bd.blocks],
             **sets,
         }
         lines = [_render(bd.combined)]
@@ -190,7 +193,7 @@ def cmd_decompose(args: argparse.Namespace) -> Result:
     else:
         certificate = _report_dict(verify(d, cap=args.cap))
     faithful = certificate["faithful"]
-    out = {"decomposition": to_json_dict(d)}
+    out = {"decomposition": d}
     lines = [_render(d), f"certificate: {certificate['method']}, faithful={faithful}"]
     if predicted is not None:
         out["predicted_faithful"] = predicted
@@ -198,7 +201,7 @@ def cmd_decompose(args: argparse.Namespace) -> Result:
     out["certificate"] = certificate
     if args.trace:
         out["trace"] = _trace_dict(built.trace)
-        lines.append(f"trace: {json.dumps(out['trace'], separators=(',', ':'))}")
+        lines.append(f"trace: {json.dumps(_wire(out['trace']), separators=(',', ':'))}")
     return EXIT_OK if faithful else EXIT_UNFAITHFUL, out, lines
 
 
@@ -206,10 +209,10 @@ def cmd_partition_check(args: argparse.Namespace) -> Result:
     parts, check, sets = _check_parts(args)
     combined = check.block_decomposition.combined
     out = {
-        "m": str(args.m),
-        "n": str(args.n),
-        "parts": [str(p) for p in parts],
-        "decomposition": to_json_dict(combined),
+        "m": args.m,
+        "n": args.n,
+        "parts": parts,
+        "decomposition": combined,
         **sets,
         "s_covers_t": check.s_covers_t,
     }
@@ -229,23 +232,25 @@ def cmd_table(args: argparse.Namespace) -> Result:
         columns.append("predicted")
     m = args.m  # None under --kind four-over-n
     rows = []
-    for n in range(args.n_min, args.n_max + 1):
+    # No n below 5 (four-over-n) or up to m (prop7) has a row.
+    for n in range(max(args.n_min, 5 if m is None else m + 1), args.n_max + 1):
         if m is None:
-            if n < 5 or n % 2 == 0:
+            if n % 2 == 0:
                 continue
             built = theorem4(n)
             r = max(built.decomposition.numerators)
         else:
-            if n <= m or gcd(m, n) != 1:
+            if gcd(m, n) != 1:
                 continue
             built = prop7(m, n)
             r = (-2 * n) % m
         d = built.decomposition
         verified = verify(d, cap=args.cap).faithful
-        cells = [*map(str, (n, *d.denominators, r)), built.trace.branch, verified]
+        cells = [n, *d.denominators, r, built.trace.branch, verified]
         if m is not None:
             cells.append(built.trace.predicted_faithful)
         rows.append(cells)
+    rows = _wire(rows)
     # csv and text share the comma layout; booleans print lowercase.
     lines = [",".join(columns)]
     lines += [",".join(json.dumps(c) if isinstance(c, bool) else c for c in row) for row in rows]
@@ -256,17 +261,10 @@ def cmd_search(args: argparse.Namespace) -> Result:
     budget = SearchBudget(args.max_length, args.max_den, args.cap)
     result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
     out = {
-        "target": _frac_dict(result.target),
-        "outcomes": [
-            {
-                "length": str(o.length),
-                "found": None if o.found is None else to_json_dict(o.found),
-                "exhausted": o.exhausted,
-            }
-            for o in result.outcomes
-        ],
+        "target": result.target,
+        "outcomes": [vars(o) for o in result.outcomes],
         "cap_hit": result.cap_hit,
-        "combos_used": str(result.combos_used),
+        "combos_used": result.combos_used,
     }
     lines = []
     for o in result.outcomes:
@@ -277,21 +275,13 @@ def cmd_search(args: argparse.Namespace) -> Result:
 
 def cmd_hunt(args: argparse.Namespace) -> Result:
     m_lo, m_hi = _parse_range(args.m)
-    report = prop6_discrepancy_scan(range(m_lo, m_hi + 1), range(2, args.n_max + 1))
+    # Only 3 <= m < n <= n_max has an instance.
+    m_lo = max(m_lo, 3)
+    ms = range(m_lo, min(m_hi, args.n_max - 1) + 1)
+    report = prop6_discrepancy_scan(ms, range(m_lo + 1, args.n_max + 1))
     out = {
-        "instances": str(report.instances),
-        "discrepancies": [
-            {
-                "m": str(i.m),
-                "n": str(i.n),
-                "y2": str(i.y2),
-                "y": str(i.y),
-                "x": str(i.x),
-                "condition": i.condition,
-                "verified": i.verified,
-            }
-            for i in report.discrepancies
-        ],
+        "instances": report.instances,
+        "discrepancies": [vars(i) for i in report.discrepancies],
     }
     lines = [f"{report.instances} instances, {len(report.discrepancies)} discrepancies"]
     return EXIT_OK if not report.discrepancies else EXIT_UNFAITHFUL, out, lines
@@ -370,16 +360,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             if getattr(args, name, 1) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be positive")
         code, payload, lines = args.func(args)
+        if args.format == "json":
+            lines = [json.dumps(_wire(payload), separators=(",", ":"))]
     except (CapExceeded, TermBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (argparse.ArgumentTypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print("\n".join(lines))
+    print("\n".join(lines))
     return code
 
 

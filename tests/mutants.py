@@ -42,6 +42,7 @@ SEARCH_TESTS = ("tests/test_search.py",)
 MODEL_TESTS = ("tests/test_model.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
 PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
+CLI_TESTS = ("tests/test_cli.py",)
 # Only the test that fails at once: unbounded, the other budget tests run a
 # head of about 10**6 primes.
 BUDGET_TEST = ("tests/test_construct.py::test_largest_max_block_that_builds",)
@@ -156,6 +157,18 @@ MUTANTS = [
      "pool_size = B - 1 - len(skipped)", "pool_size = B - len(skipped)", SEARCH_TESTS),
     ("unranking search starts one too high", "search.py",
      "lo, hi = i - 1, rank + i", "lo, hi = i, rank + i", SEARCH_TESTS),
+    # cli._wire, the one wire rule, and the sweeps' first values.
+    ("wire form tests int before bool", "cli.py",
+     "if obj is None or isinstance(obj, (bool, str)):", "if obj is None or isinstance(obj, str):", CLI_TESTS),
+    ("wire form swaps a fraction's num and den", "cli.py",
+     '{"num": _wire(obj.numerator), "den": _wire(obj.denominator)}',
+     '{"num": _wire(obj.denominator), "den": _wire(obj.numerator)}', CLI_TESTS),
+    ("wire form without the digit-limit guard", "cli.py",
+     "            raise _too_long() from None\n", "            raise\n", CLI_TESTS),
+    ("prop7 table starts at m + 2", "cli.py",
+     "5 if m is None else m + 1", "5 if m is None else m + 2", CLI_TESTS),
+    ("hunt starts at m = 4", "cli.py",
+     "m_lo = max(m_lo, 3)", "m_lo = max(m_lo, 4)", CLI_TESTS),
 ]
 
 

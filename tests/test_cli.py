@@ -445,6 +445,96 @@ def test_hunt_malformed_range_is_usage_error(capsys):
     assert "range" in err
 
 
+# A wide sweep and the output of the sweep trimmed to the values that emit,
+# as the CLI printed it when it tested every value of the range in turn.
+WIDE_SWEEPS = [
+    (["hunt", "--m", "3..100000000", "--n-max", "5"], '{"instances":"3","discrepancies":[]}\n'),
+    (
+        ["table", "--kind", "prop7", "--m", "3", "--n-min", "-100000000", "--n-max", "10"],
+        "n,x,y,z,r,case,verified,predicted\n4,2,6,12,1,case1,false,false\n"
+        "5,3,6,10,2,case2,true,true\n7,3,15,35,1,case1,true,true\n"
+        "8,4,12,24,2,case2,false,false\n10,4,28,70,1,case1,true,true\n",
+    ),
+    (
+        ["table", "--kind", "four-over-n", "--n-min", "-100000000", "--n-max", "9"],
+        "n,x,y,z,r,case,verified\n5,2,6,15,2,case1,true\n7,3,6,14,1,case2,true\n"
+        "9,4,6,36,1,example9,true\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", WIDE_SWEEPS, ids=["hunt", "prop7", "four-over-n"])
+def test_sweeps_skip_values_that_cannot_emit(argv, expected, capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(argv, capsys)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == expected
+    assert elapsed < 1.0
+
+
+TOO_LONG = (
+    "error: integer longer than 4300 digits, the interpreter's limit for decimal "
+    "strings (see sys.set_int_max_str_digits)\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_table_integer_past_digit_limit_is_the_one_error(fmt, capsys):
+    # 3/N has a prop7 row whose denominators are past 4300 digits.
+    big = str(10**2500 + 1)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ["table", "--kind", "prop7", "--m", "3", "--n-min", big, "--n-max", big]
+        code, out, err = run([*argv, "--format", fmt], capsys)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 2
+    assert out == ""
+    assert err == TOO_LONG
+
+
+BOUND = 10**12
+
+
+@st.composite
+def sweep_argvs(draw):
+    """A table or hunt call with bounds up to about 10**12 in size, of which
+    at most about 50 values can emit."""
+    command = draw(st.sampled_from(["prop7", "four-over-n", "hunt"]))
+    bound = st.integers(min_value=-BOUND, max_value=BOUND)
+    if command == "hunt":
+        n_max = draw(bound)
+        # Pairs 3 <= m < n <= n_max emit; keep m within 9 of n_max.
+        m_lo = draw(bound if n_max <= 12 else st.integers(min_value=n_max - 9, max_value=BOUND))
+        m_hi = draw(bound)
+        return ["hunt", f"--m={m_lo}..{m_hi}", f"--n-max={n_max}"]
+    if command == "prop7":
+        m = draw(bound)
+        argv = ["table", "--kind", "prop7", f"--m={m}"]
+        first = m + 1
+    else:
+        argv = ["table", "--kind", "four-over-n"]
+        first = 5
+    n_min = draw(bound)
+    lo = max(n_min, first)
+    near = st.integers(min_value=-3, max_value=49).map(lambda k: lo + k)
+    n_max = draw(near | st.integers(min_value=-BOUND, max_value=lo + 49))
+    fmt = draw(st.sampled_from(["csv", "json", "text"]))
+    return [*argv, f"--n-min={n_min}", f"--n-max={n_max}", f"--format={fmt}"]
+
+
+@given(sweep_argvs())
+@settings(deadline=None, max_examples=200)
+def test_sweeps_with_any_bounds_end_with_an_exit_code(argv):
+    t0 = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert time.perf_counter() - t0 < 2.0
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
