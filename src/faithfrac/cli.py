@@ -354,7 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse takes a value that starts with "-" but is not a plain number,
+    # such as the range -4..4, for a flag; "--m -4..4" is read as "--m=-4..4".
+    words: list[str] = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] == "--m" and word[:1] == "-" and word[1:2].isdigit():
+            words[-1] = f"--m={word}"
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         for name in ("cap", "max_length", "max_den"):
             if getattr(args, name, 1) < 1:

@@ -1,16 +1,14 @@
-"""Integer primitives shared by every other module.
+"""Integer primitives for the constructors: inverses and primes.
 
 All arithmetic is arbitrary precision; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, NamedTuple
 
 __all__ = [
     "BezoutPair",
-    "coprime_parts",
     "mod_inverse",
     "is_prime",
     "next_prime_avoiding",
@@ -18,51 +16,11 @@ __all__ = [
 
 
 class BezoutPair(NamedTuple):
-    """Witness (x, y) for y*m - x*n == 1, kept with the (m, n) it certifies."""
+    """Witness (x, y) for y*m - x*n == 1.  Only x and y are stored, not the
+    (m, n) they certify."""
 
     x: int
     y: int
-
-
-def coprime_parts(n: int, values: Iterable[int]) -> list[int]:
-    """Split n >= 1 into pairwise coprime factors above 1, in increasing
-    order, such that every prime of a factor divides the same values.
-
-    So gcd(f, v) > 1 exactly when every prime of f divides v.  Found with
-    gcds alone, no factoring: each value splits every factor into the part
-    made of primes it shares with the value and the coprime rest, about
-    k**2 gcds for k values.  This is a gcd-free basis of n refined by the
-    values (Bernstein, "Factoring into coprimes in essentially linear
-    time", J. Algorithms 2005, gives a faster method for large k).
-    """
-    if n < 1:
-        raise ValueError("coprime_parts needs a positive n")
-    return [f for f, _ in _coprime_split(n, values)]
-
-
-def _coprime_split(n: int, values: Iterable[int]) -> list[tuple[int, int]]:
-    """coprime_parts' factors of n >= 1, each paired with a mask of the values
-    it shares primes with: bit i is set exactly when gcd(f, values[i]) > 1.
-
-    When a value splits a factor, both halves inherit the factor's mask and
-    only the shared half gains the value's bit.
-    """
-    parts = [(n, 0)] if n > 1 else []
-    for i, v in enumerate(values):
-        split = []
-        for rest, mask in parts:
-            shared = 1
-            g = gcd(rest, v)
-            while g > 1:
-                shared *= g
-                rest //= g
-                g = gcd(rest, g)
-            if shared > 1:
-                split.append((shared, mask | 1 << i))
-            if rest > 1:
-                split.append((rest, mask))
-        parts = split
-    return sorted(parts)
 
 
 def mod_inverse(a: int, n: int) -> int:

@@ -21,7 +21,6 @@ __all__ = [
     "BlockDecomposition",
     "PartitionCheck",
     "decompose_partition",
-    "s_set",
     "t_set",
     "check_partition_theorem",
 ]
@@ -46,7 +45,6 @@ class PartitionSpec:
 class BlockDecomposition:
     """Per-part blocks plus their concatenation as one decomposition of m/n."""
 
-    target: Fraction
     parts: tuple[int, ...]
     blocks: tuple[Decomposition, ...]
     combined: Decomposition
@@ -81,16 +79,10 @@ def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
     if problems:
         raise RuntimeError(f"combined blocks are invalid: {problems}")
     return BlockDecomposition(
-        target=Fraction(spec.m, n),
         parts=tuple(sorted(spec.parts)),
         blocks=tuple(blocks),
         combined=combined,
     )
-
-
-def s_set(bd: BlockDecomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
-    """Lattice partial sums of the combined decomposition lying in (1/n)Z."""
-    return partial_sums_in_ideal(bd.combined, cap)
 
 
 def t_set(parts: tuple[int, ...], n: int) -> frozenset[Fraction]:
@@ -127,4 +119,4 @@ def check_partition_theorem(
 ) -> PartitionCheck:
     """Compare the in-ideal lattice sums against the subset sums of the parts."""
     bd = decompose_partition(spec, n)
-    return PartitionCheck(bd, s_set(bd, cap), t_set(bd.parts, n))
+    return PartitionCheck(bd, partial_sums_in_ideal(bd.combined, cap), t_set(bd.parts, n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator
 
 from .construct import prop7
@@ -134,7 +134,9 @@ def min_length_search(
     whole bounded space was covered without a cap break.  A shuffled length
     with more sets than the combos left can enter (each costs at least one)
     cannot be exhausted, so its sets are drawn at random as needed instead
-    of being listed and shuffled.
+    of being listed and shuffled.  Drawing by rank needs the divisors of n up
+    to B, which take min(B, isqrt(n)) trial divisions; past the cap the
+    shuffled search reports cap_hit at once, with no combination used.
     """
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("target must be a positive fraction in lowest terms")
@@ -143,8 +145,15 @@ def min_length_search(
 
     if shuffle_seed is not None:
         # The pool's size, and its i-th member, for sets drawn by rank: the
-        # pool is 2..B less the b that can carry no numerator (the divisors of n).
-        skipped = [b for b in range(2, min(n, B) + 1) if not max_numerator(b, n)]
+        # pool is 2..B less the b that can carry no numerator, the divisors of
+        # n.  Trial division finds those up to B with min(B, isqrt(n)) steps,
+        # each paired with n // d; steps past the cap are refused at once.
+        bound = min(B, isqrt(n))
+        if bound > budget.combo_cap:
+            lengths = range(1, budget.max_length + 1)
+            return SearchResult(target, tuple(LengthOutcome(k, None, False) for k in lengths), True, 0)
+        divisors = (e for d in range(1, bound + 1) if not n % d for e in (d, n // d))
+        skipped = sorted({e for e in divisors if 2 <= e <= B})
         pool_size = B - 1 - len(skipped)
 
         def member(i: int) -> int:
@@ -246,10 +255,6 @@ class Prop6Instance:
     x: int
     condition: bool
     verified: bool
-
-    @property
-    def agrees(self) -> bool:
-        return self.condition == self.verified
 
 
 @dataclass(frozen=True)

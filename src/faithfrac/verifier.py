@@ -40,7 +40,6 @@ from math import gcd, prod
 from operator import mul
 
 from .model import Decomposition
-from .numeric import _coprime_split
 
 __all__ = [
     "DEFAULT_CAP",
@@ -151,6 +150,38 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     return FaithfulnessReport(False, violation, position, "naive")
 
 
+def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
+    """Split n >= 1 into pairwise coprime factors above 1, in increasing
+    order, each paired with a mask of the values it shares primes with: bit i
+    is set exactly when gcd(f, values[i]) > 1, and then every prime of f
+    divides values[i].
+
+    Found with gcds alone, no factoring: each value splits every factor into
+    the part made of primes it shares with the value and the coprime rest,
+    about k**2 gcds for k values.  Both halves inherit the factor's mask and
+    only the shared half gains the value's bit.  This is a gcd-free basis of
+    n refined by the values (Bernstein, "Factoring into coprimes in
+    essentially linear time", J. Algorithms 2005, gives a faster method for
+    large k).
+    """
+    parts = [(n, 0)] if n > 1 else []
+    for i, v in enumerate(values):
+        split = []
+        for rest, mask in parts:
+            shared = 1
+            g = gcd(rest, v)
+            while g > 1:
+                shared *= g
+                rest //= g
+                g = gcd(rest, g)
+            if shared > 1:
+                split.append((shared, mask | 1 << i))
+            if rest > 1:
+                split.append((rest, mask))
+        parts = split
+    return sorted(parts)
+
+
 def _plan(W: int, shares: list[int], bounds: list[int]):
     """Split W into coprime parts: (parts, shared terms, private terms per part).
 
@@ -193,16 +224,19 @@ def _plan(W: int, shares: list[int], bounds: list[int]):
     return (parts, shared, private) if prod(map(size, shared)) * walks < rest else single
 
 
-def _rows(visit, vec, k, rest, ranges, shares, g, step, inv, top, s_k, W, walked, cap,
-          base=0, sols=(), slots=()) -> int:
-    """The last part's rows, with numerators offset by base; returns walked
-    plus the combinations examined.  The part walks its terms but the
-    widest, k: rest, over ranges, with their shares.  A row whose numerator
-    is b needs s_k * x_k == -b (mod q) for the part q: solvable when g | b,
-    g = gcd(s_k, q), by every x_k == -(b / g) * inv (mod step) below top.
-    Each row is visited once per combination of the other parts' solutions
-    sols, written into vec at their slots; a part of its own (no sols)
-    visits each row once."""
+def _rows(visit, vec, part, W, cap, base=0, sols=(), others=()) -> int:
+    """The rows of a part set up by _scan, with numerators offset by base;
+    returns the part's walk plus the combinations examined.  The part walks
+    its terms but the widest, k, over their ranges and shares.  A row whose
+    numerator is b needs s_k * x_k == -b (mod q) for the part q: solvable
+    when g | b, g = gcd(s_k, q), by every x_k == -(b / g) * inv (mod step)
+    below top.  Each row is visited once per combination of the solutions
+    sols of the other parts, written into vec at the terms of their set-ups
+    others; a part of its own (no sols) visits each row once."""
+    (*rest, k), ranges, shares, g, step, inv, top, s_k, walked = part
+    # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
+    if step * s_k % W:
+        raise RuntimeError(_OUTSIDE)
     copies = prod(map(len, sols)) if sols else 1
     for xs in iproduct(*ranges):
         b = base + sum(map(mul, xs, shares))
@@ -221,8 +255,8 @@ def _rows(visit, vec, k, rest, ranges, shares, g, step, inv, top, s_k, W, walked
             continue
         for combo in iproduct(*sols):
             c = b
-            for slot, (ys, num) in zip(slots, combo):
-                for i, y in zip(slot, ys):
+            for other, (ys, num) in zip(others, combo):
+                for i, y in zip(other[0], ys):
                     vec[i] = y
                 c += num
             if (c + cands[0] * s_k) % W:
@@ -249,9 +283,9 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
     # in (1/n)Z exactly when that sum is 0 (mod W).
     shares = [L // t.den for t in d.terms]
     parts, shared, private = _plan(W, shares, bounds)
-    # The loop ends on the last part, whose rows are walked; the others are kept
-    # as their solutions list them.
-    others, slots = [], []
+    # One set-up per part: (its terms with the widest, k, last; the ranges and
+    # shares of the rest; g, step, inv, top, s_k; the walk's size).
+    setups = []
     for q, ts in zip(parts, private):
         k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
         rest = [i for i in ts if i != k]
@@ -263,17 +297,14 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         # b // g modulo step = q // g: rows are solved from b itself.
         step = q // (g := gcd(shares[k], q))
         inv = pow(shares[k] // g, -1, step) if step > 1 else 0  # coprime to step
-        rest_shares = [shares[i] for i in rest]
-        if ts is not private[-1]:
-            others.append((ranges, rest_shares, g, step, inv, walk, bounds[k] + 1, shares[k]))
-            slots.append([*rest, k])
-    top, s_k = bounds[k] + 1, shares[k]
-    # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
-    if step * s_k % W:
-        raise RuntimeError(_OUTSIDE)
+        setups.append(([*rest, k], ranges, [shares[i] for i in rest], g, step, inv,
+                       bounds[k] + 1, shares[k], walk))
+    # The loop ends on the last part, whose rows are walked; the others are kept
+    # as their solutions list them.
+    *others, last = setups
     vec = [0] * len(bounds)
     if not others:
-        return _rows(visit, vec, k, rest, ranges, rest_shares, g, step, inv, top, s_k, W, walk, cap)
+        return _rows(visit, vec, last, W, cap)
     shared_shares = [shares[i] for i in shared]
     combos = 0
     for digits in iproduct(*[range(bounds[i] + 1) for i in shared]):
@@ -283,7 +314,7 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         base = sum(map(mul, digits, shared_shares))
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
-        for ranges_j, shares_j, g_j, step_j, inv_j, walk_j, top_j, s_j in others:
+        for _, ranges_j, shares_j, g_j, step_j, inv_j, top_j, s_j, walk_j in others:
             found = []
             for xs in iproduct(*ranges_j):
                 num = sum(map(mul, xs, shares_j))
@@ -296,8 +327,7 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
                 break
             sols.append(found)
         else:
-            combos += _rows(visit, vec, k, rest, ranges, rest_shares, g, step, inv, top, s_k, W,
-                            walk, cap, base, sols, slots)
+            combos += _rows(visit, vec, last, W, cap, base, sols, others)
         if combos > cap:
             raise CapExceeded(_OVER.format(cap))
     return combos

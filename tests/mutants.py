@@ -56,7 +56,7 @@ MUTANTS = [
     ("row step off by one", "verifier.py",
      "step = q // (g := gcd(shares[k], q))", "step = q // (g := gcd(shares[k], q)) + 1", VERIFIER_TESTS),
     ("one-part entry starts from a nonzero numerator", "verifier.py",
-     "          base=0, sols=(),", "          base=1, sols=(),", VERIFIER_TESTS),
+     "cap, base=0, sols=()", "cap, base=1, sols=()", VERIFIER_TESTS),
     ("single part counted as one shared assignment", "verifier.py",
      "        return _rows(", "        return 1 + _rows(", VERIFIER_TESTS),
     ("one-part rows counted as no combinations", "verifier.py",
@@ -76,7 +76,10 @@ MUTANTS = [
     ("another part's numerator without the shared base", "verifier.py",
      "(r := base + num)", "(r := num)", VERIFIER_TESTS),
     ("the last part's rows with base 0", "verifier.py",
-     "walk, cap, base, sols, slots)", "walk, cap, 0, sols, slots)", VERIFIER_TESTS),
+     "last, W, cap, base, sols, others)", "last, W, cap, 0, sols, others)", VERIFIER_TESTS),
+    ("a later part's listing counted once per earlier solution", "verifier.py",
+     "combos += walk_j + len(found)\n", "combos += walk_j + len(found) * prod(map(len, sols))\n",
+     VERIFIER_TESTS),
     ("another part's numerator dropped", "verifier.py",
      "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
     ("residue-0 shared assignments dropped", "verifier.py",
@@ -90,10 +93,10 @@ MUTANTS = [
      "for i, owners in mixed if owners and folded.issuperset(owners)]", VERIFIER_TESTS),
     ("parts with no term of their own kept apart", "verifier.py",
      "[prod(parts[j] for j in folded)]", "[parts[kept[-1]]]", VERIFIER_TESTS),
-    # numeric._coprime_split's owner masks, which _plan reads.
-    ("split's shared half without the value's bit", "numeric.py",
+    # verifier._coprime_split's owner masks, which _plan reads.
+    ("split's shared half without the value's bit", "verifier.py",
      "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
-    ("split's rest half with the value's bit", "numeric.py",
+    ("split's rest half with the value's bit", "verifier.py",
      "split.append((rest, mask))", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
     # partition.t_set, the subset sums S is compared against.
     ("subset sums of single parts only", "partition.py",
@@ -157,6 +160,10 @@ MUTANTS = [
      "pool_size = B - 1 - len(skipped)", "pool_size = B - len(skipped)", SEARCH_TESTS),
     ("unranking search starts one too high", "search.py",
      "lo, hi = i - 1, rank + i", "lo, hi = i, rank + i", SEARCH_TESTS),
+    ("shuffle pool keeps the divisors of n above its square root", "search.py",
+     "for e in (d, n // d))", "for e in (d,))", SEARCH_TESTS),
+    ("shuffled search past the cap not refused", "search.py",
+     "        if bound > budget.combo_cap:\n", "        if False:\n", CLI_TESTS),
     # cli._wire, the one wire rule, and the sweeps' first values.
     ("wire form tests int before bool", "cli.py",
      "if obj is None or isinstance(obj, (bool, str)):", "if obj is None or isinstance(obj, str):", CLI_TESTS),
@@ -169,6 +176,8 @@ MUTANTS = [
      "5 if m is None else m + 1", "5 if m is None else m + 2", CLI_TESTS),
     ("hunt starts at m = 4", "cli.py",
      "m_lo = max(m_lo, 3)", "m_lo = max(m_lo, 4)", CLI_TESTS),
+    ("spaced --m range read as a flag", "cli.py",
+     'if words and words[-1] == "--m" and', 'if False and', CLI_TESTS),
 ]
 
 

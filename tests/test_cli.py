@@ -445,6 +445,30 @@ def test_hunt_malformed_range_is_usage_error(capsys):
     assert "range" in err
 
 
+def test_hunt_negative_range_after_a_space_reads_as_with_equals(capsys):
+    spaced = run(["hunt", "--m", "-4..4", "--n-max", "10"], capsys)
+    joined = run(["hunt", "--m=-4..4", "--n-max", "10"], capsys)
+    assert spaced == joined
+    assert spaced[:2] == (0, '{"instances":"8","discrepancies":[]}\n')
+
+
+def test_shuffled_search_past_the_cap_exits_three_at_once(capsys):
+    # The divisors of n below 10**11 take isqrt(n) = 31622 trial divisions,
+    # past the cap of 1000: refused before any is made.
+    argv = ["search", "2", "1000000007", "--max-length", "1", "--max-den", "100000000000",
+            "--cap", "1000", "--shuffle", "1"]
+    t0 = time.perf_counter()
+    code, out, _ = run(argv, capsys)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 3
+    assert json.loads(out) == {
+        "target": {"num": "2", "den": "1000000007"},
+        "outcomes": [{"length": "1", "found": None, "exhausted": False}],
+        "cap_hit": True,
+        "combos_used": "0",
+    }
+
+
 # A wide sweep and the output of the sweep trimmed to the values that emit,
 # as the CLI printed it when it tested every value of the range in turn.
 WIDE_SWEEPS = [

@@ -210,6 +210,8 @@ def test_coprime_shape_examples():
     # reads only the target's denominator, so the sum need not match
     assert not coprime_shape(Decomposition(Fraction(1, 3), (Term(1, 2), Term(1, 4), Term(1, 24))))
     assert not coprime_shape(Decomposition(Fraction(0), ()))
+    # 8/5 = 3/2 + 1/10 has the closing term and coprime moduli, but an improper head
+    assert not coprime_shape(d_of(8, 5, [(3, 2), (1, 10)]))
 
 
 def test_json_round_trip_is_exact():
@@ -224,6 +226,11 @@ def test_json_text_is_stable():
         '"terms":[{"num":"1","den":"2"},{"num":"1","den":"6"}]}'
     )
     assert to_json(d) == expected
+
+
+def test_from_json_dict_accepts_bare_integers():
+    obj = {"target": {"num": 2, "den": 3}, "terms": [{"num": 1, "den": 2}, {"num": "1", "den": 6}]}
+    assert from_json_dict(obj) == d_of(2, 3, [(1, 2), (1, 6)])
 
 
 def test_json_integers_are_decimal_strings():
@@ -241,6 +248,7 @@ def test_json_integers_are_decimal_strings():
         {"target": {"num": "1", "den": "2"}, "terms": [{"num": "0", "den": "2"}]},
         {"target": {"num": "1", "den": "2"}, "terms": "nope"},
         {"target": {"num": "x", "den": "2"}, "terms": []},
+        {"target": {"num": "1", "den": "2"}, "terms": [["1", "2"]]},
     ],
 )
 def test_from_json_dict_rejects_malformed(obj):

@@ -1,4 +1,4 @@
-"""Tests for the integer primitives."""
+"""Tests for the integer primitives, the verifier's coprime split among them."""
 
 import math
 from itertools import takewhile
@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
-    coprime_parts,
     is_prime,
     mod_inverse,
     next_prime_avoiding,
 )
+from faithfrac.verifier import _coprime_split
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 200}
 
@@ -132,17 +132,18 @@ def test_primes_avoiding_properties(lower, forbidden):
 @pytest.mark.parametrize(
     "n,values,expected",
     [
-        (12, [2], [3, 4]),
-        (360, [4, 5], [5, 8, 9]),
-        (36, [6], [36]),
-        (30, [], [30]),
+        (12, [2], [(3, 0), (4, 1)]),
+        (360, [4, 5], [(5, 0b10), (8, 0b01), (9, 0)]),
+        (36, [6], [(36, 1)]),
+        (30, [], [(30, 0)]),
         (1, [3], []),
-        (2 * 3 * 5 * 7, [10, 21], [2 * 5, 3 * 7]),
-        (77, [91], [7, 11]),
+        (2 * 3 * 5 * 7, [10, 21], [(2 * 5, 0b01), (3 * 7, 0b10)]),
+        (77, [91], [(7, 1), (11, 0)]),
     ],
 )
 def test_coprime_parts_examples(n, values, expected):
-    assert coprime_parts(n, values) == expected
+    # (part, mask): bit i is set when the part shares its primes with values[i].
+    assert _coprime_split(n, values) == expected
 
 
 @given(
@@ -151,18 +152,17 @@ def test_coprime_parts_examples(n, values, expected):
 )
 @settings(**HYP_SETTINGS)
 def test_coprime_parts_split_n_by_the_primes_of_the_values(n, values):
-    parts = coprime_parts(n, values)
+    split = _coprime_split(n, values)
+    parts = [f for f, _ in split]
     assert parts == sorted(parts)
     assert math.prod(parts) == n
     assert all(f > 1 for f in parts)
     assert all(math.gcd(f, g) == 1 for i, f in enumerate(parts) for g in parts[i + 1 :])
-    # Each value meets a part in all of its primes or in none: every prime
-    # of f divides v exactly when f divides a high enough power of v.
-    for f in parts:
-        for v in values:
+    # Bit i of a part's mask is set exactly when the part meets values[i],
+    # and then in all of its primes: every prime of f divides v exactly
+    # when f divides a high enough power of v.
+    for f, mask in split:
+        for i, v in enumerate(values):
+            assert bool(mask >> i & 1) == (math.gcd(f, v) > 1)
             assert math.gcd(f, v) == 1 or pow(v, f.bit_length(), f) == 0
-
-
-def test_coprime_parts_rejects_nonpositive_n():
-    with pytest.raises(ValueError):
-        coprime_parts(0, [2])
+    assert all(mask < 1 << len(values) for _, mask in split)

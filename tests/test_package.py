@@ -10,7 +10,7 @@ MODULES = (construct, model, numeric, partition, search, verifier)
 
 def test_package_all_is_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == len(set(names)) == 48
+    assert len(names) == len(set(names)) == 46
     assert set(faithfrac.__all__) == set(names)
 
 

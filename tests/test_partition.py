@@ -12,7 +12,7 @@ from faithfrac import (
     PartitionSpec,
     check_partition_theorem,
     decompose_partition,
-    s_set,
+    partial_sums_in_ideal,
     t_set,
     validate,
     verify,
@@ -72,12 +72,12 @@ def test_requires_coprime_m_and_n():
 def test_s_set_of_known_example():
     bd = decompose_partition(PartitionSpec(5, (2, 3)), 7)
     want = {Fraction(0), Fraction(2, 7), Fraction(3, 7), Fraction(5, 7)}
-    assert s_set(bd) == want
+    assert partial_sums_in_ideal(bd.combined) == want
 
 
 def test_s_set_single_block():
     bd = decompose_partition(PartitionSpec(2, (2,)), 3)
-    assert s_set(bd) == {Fraction(0), Fraction(2, 3)}
+    assert partial_sums_in_ideal(bd.combined) == {Fraction(0), Fraction(2, 3)}
 
 
 @pytest.mark.parametrize(

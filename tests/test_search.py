@@ -7,6 +7,7 @@ from math import comb, gcd
 import pytest
 
 from faithfrac import (
+    CapExceeded,
     LengthOutcome,
     Prop6Instance,
     SearchBudget,
@@ -18,6 +19,19 @@ from faithfrac import (
     theorem1,
     verify,
 )
+
+
+def test_a_candidate_the_verifier_refuses_is_a_cap_hit(monkeypatch):
+    # 1/2 + 1/6, the first candidate for 2/3, comes at length 2.
+    def refuse(d, cap):
+        raise CapExceeded(f"refused at cap {cap}")
+
+    monkeypatch.setattr(search, "verify", refuse)
+    result = min_length_search(2, 3, SearchBudget(3, 10))
+    assert result.cap_hit
+    assert result.outcomes == (
+        LengthOutcome(1, None, True), LengthOutcome(2, None, False), LengthOutcome(3, None, False),
+    )
 
 
 def test_budget_bounds_are_validated():
@@ -247,5 +261,5 @@ def test_prop6_scan_reports_each_disagreement_with_its_fields(monkeypatch):
     report = prop6_discrepancy_scan([3, 4, 5], range(4, 40))
     assert report.instances == len(expected) > 50
     assert report.discrepancies == tuple(expected)
-    assert not any(inst.agrees for inst in expected)
+    assert all(inst.condition != inst.verified for inst in expected)
     assert {inst.verified for inst in expected} == {True, False}

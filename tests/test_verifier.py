@@ -23,7 +23,6 @@ from faithfrac import (
     FaithfulnessReport,
     PartitionSpec,
     Violation,
-    coprime_parts,
     decompose_partition,
     decomposition,
     general_coprime,
@@ -34,6 +33,7 @@ from faithfrac import (
     verify,
     verify_naive,
 )
+from faithfrac.verifier import _coprime_split
 from pools import generated_pool
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 120}
@@ -169,6 +169,18 @@ def test_combos_examined_is_pinned_on_both_paths(m, n, combos):
     report = verify(theorem1(m, n).decomposition)
     assert report.method == "congruence"
     assert report.combos_examined == combos
+
+
+def test_three_part_count_is_pinned():
+    # W splits into the parts 2, 3 and 5, which share 1/6.  Under each shared
+    # assignment every other part's listing counts once, and only the last
+    # part's rows count once per combination of their solutions.
+    d = of_pairs([(1, 6), (19, 58), (23, 65), (1, 3), (38, 85)])
+    assert d.target == Fraction(10437, 6409)
+    violation = Violation((0, 2, 0, 0, 0), Fraction(1, 29))
+    assert verify(d, 3836) == FaithfulnessReport(False, violation, 3836, "congruence")
+    with pytest.raises(CapExceeded):
+        verify(d, 3835)
 
 
 def _walk_grid():
@@ -530,7 +542,7 @@ def factored_decompositions(draw):
     L = lcm(*d.denominators)
     W = L // gcd(L, d.target.denominator)
     assume(prod(sizes) <= 20_000 and prod(sizes) // max(sizes) > len(sizes) ** 2)
-    assume(len(coprime_parts(W, [W // gcd(L // b, W) for b in d.denominators])) >= 2)
+    assume(len(_coprime_split(W, [W // gcd(L // b, W) for b in d.denominators])) >= 2)
     return d
 
 
