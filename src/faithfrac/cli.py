@@ -17,21 +17,16 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .construct import (
-    ConstructionTrace,
-    TermBudgetExceeded,
-    all_units_but_one,
-    prop7,
-    theorem1,
-    theorem4,
-    two_term,
-)
+# verify needs only the model and the verifier; the other commands import
+# construct, partition and search themselves, so a cold verify skips them.
 from .model import Decomposition, _too_long, coprime_shape, from_json, to_json_dict
-from .partition import PartitionCheck, PartitionSpec, check_partition_theorem
-from .search import SearchBudget, min_length_search, prop6_discrepancy_scan
 from .verifier import DEFAULT_CAP, CapExceeded, FaithfulnessReport, verify, verify_naive
+
+if TYPE_CHECKING:
+    from .construct import ConstructionTrace
+    from .partition import PartitionCheck
 
 EXIT_OK = 0
 EXIT_UNFAITHFUL = 1
@@ -140,6 +135,8 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 def _check_parts(args: argparse.Namespace) -> tuple[list[int], PartitionCheck, dict[str, Any]]:
     """Parse --parts, check the partition theorem for m/n, list S and T."""
+    from .partition import PartitionSpec, check_partition_theorem
+
     parts = _parse_int_list(args.parts, "--parts")
     check = check_partition_theorem(PartitionSpec(args.m, tuple(parts)), args.n, cap=args.cap)
     sets = {"s": sorted(check.s), "t": sorted(check.t), "sets_equal": check.equal}
@@ -151,6 +148,8 @@ _STRATEGY_FLAGS = {"theorem2": ("omega", "seed", "trace"), "partition": ("parts"
 
 
 def cmd_decompose(args: argparse.Namespace) -> Result:
+    from .construct import all_units_but_one, prop7, theorem1, theorem4, two_term
+
     m, n = args.m, args.n
     reads = _STRATEGY_FLAGS.get(args.strategy, ("trace",))
     for flag in ("omega", "seed", "parts", "trace"):
@@ -222,6 +221,8 @@ def cmd_partition_check(args: argparse.Namespace) -> Result:
 
 
 def cmd_table(args: argparse.Namespace) -> Result:
+    from .construct import prop7, theorem4
+
     columns = ["n", "x", "y", "z", "r", "case", "verified"]
     if args.kind == "four-over-n":
         if args.m is not None:
@@ -258,6 +259,8 @@ def cmd_table(args: argparse.Namespace) -> Result:
 
 
 def cmd_search(args: argparse.Namespace) -> Result:
+    from .search import SearchBudget, min_length_search
+
     budget = SearchBudget(args.max_length, args.max_den, args.cap)
     result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
     out = {
@@ -274,6 +277,8 @@ def cmd_search(args: argparse.Namespace) -> Result:
 
 
 def cmd_hunt(args: argparse.Namespace) -> Result:
+    from .search import prop6_discrepancy_scan
+
     m_lo, m_hi = _parse_range(args.m)
     # Only 3 <= m < n <= n_max has an instance.
     m_lo = max(m_lo, 3)
@@ -370,12 +375,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, payload, lines = args.func(args)
         if args.format == "json":
             lines = [json.dumps(_wire(payload), separators=(",", ":"))]
-    except (CapExceeded, TermBudgetExceeded) as exc:
+    except (argparse.ArgumentTypeError, ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (argparse.ArgumentTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # construct's TermBudgetExceeded is a ValueError; construct is loaded
+        # whenever one can have been raised.
+        construct = sys.modules.get(f"{__package__}.construct")
+        over = (CapExceeded, construct.TermBudgetExceeded) if construct else CapExceeded
+        return EXIT_BUDGET if isinstance(exc, over) else EXIT_USAGE
     print("\n".join(lines))
     return code
 

@@ -56,9 +56,7 @@ _MR_FALLBACK = _SMALL_PRIMES + (
 
 
 def _strong_probable_prime(n: int, a: int, d: int, r: int) -> bool:
-    a %= n
-    if a == 0:
-        return True
+    # is_prime calls this only for n >= 41 * 41, and every witness a <= 113 < n.
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True

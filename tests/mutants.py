@@ -43,6 +43,9 @@ MODEL_TESTS = ("tests/test_model.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
 PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
 CLI_TESTS = ("tests/test_cli.py",)
+PACKAGE_TESTS = ("tests/test_package.py",)
+IMPORT_GUARD = ("tests/test_cli.py::test_cold_verify_imports_only_the_cli_the_model_and_the_verifier",)
+CLI_BUDGET_TEST = ("tests/test_cli.py::test_partition_max_head_past_budget_exits_three",)
 # Only the test that fails at once: unbounded, the other budget tests run a
 # head of about 10**6 primes.
 BUDGET_TEST = ("tests/test_construct.py::test_largest_max_block_that_builds",)
@@ -178,6 +181,17 @@ MUTANTS = [
      "m_lo = max(m_lo, 3)", "m_lo = max(m_lo, 4)", CLI_TESTS),
     ("spaced --m range read as a flag", "cli.py",
      'if words and words[-1] == "--m" and', 'if False and', CLI_TESTS),
+    # The lazy package and the CLI's per-command imports.
+    ("cli imports construct at module level", "cli.py",
+     "from .model import Decomposition,", "from .construct import prop7\nfrom .model import Decomposition,",
+     IMPORT_GUARD),
+    ("first public name returned without binding the rest", "__init__.py",
+     "        names.update(public, __all__=sorted(public))\n",
+     "        names.update(__all__=sorted(public))\n        if name in public:\n            return public[name]\n",
+     PACKAGE_TESTS),
+    ("term budget error mapped to exit 2", "cli.py",
+     "over = (CapExceeded, construct.TermBudgetExceeded) if construct else CapExceeded",
+     "over = CapExceeded", CLI_BUDGET_TEST),
 ]
 
 

@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +55,32 @@ def test_verify_reports_violation_and_exits_one(capsys, monkeypatch):
         "coefficients": ["1", "0"],
         "value": {"num": "1", "den": "2"},
     }
+
+
+# Runs cli.main(["verify"]) in a new interpreter that imports faithfrac from
+# the given src/, then prints what it loaded.
+COLD_VERIFY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from faithfrac.cli import main
+code = main(["verify"])
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "faithfrac")
+print(json.dumps([code, loaded, "random" in sys.modules]))
+"""
+
+
+def test_cold_verify_imports_only_the_cli_the_model_and_the_verifier():
+    # -E -S: neither an environment variable nor a site-packages start-up
+    # hook (which may load random itself) runs before the wrapper.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", COLD_VERIFY, str(src)],
+                          input=FOUR_NINTHS, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    verdict, loaded = proc.stdout.splitlines()
+    assert json.loads(verdict)["faithful"] is True
+    assert json.loads(loaded) == [
+        0, ["faithfrac", "faithfrac.cli", "faithfrac.model", "faithfrac.verifier"], False,
+    ]
 
 
 def test_verify_reads_input_file(tmp_path, capsys):

@@ -314,6 +314,24 @@ def test_inputs_must_be_reduced_and_positive():
         all_units_but_one(2, 3, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (two_term, (Fraction(4), 5), "m and n must be integers"),
+        (theorem1, (7, 3.0), "m and n must be integers"),
+        (general_coprime, (2, 3, "unit", [0]), "omega must contain positive integers"),
+        (all_units_but_one, (2, 3, [2.5]), "omega must contain positive integers"),
+        (from_perfect, (1,), "need an integer >= 2"),
+        (from_perfect, (6.0,), "need an integer >= 2"),
+        (prop7, (2, 5), "prop7 needs m >= 3"),
+        (prop7, (5, 3), "prop7 needs a proper fraction m/n < 1"),
+    ],
+)
+def test_constructor_input_checks(build, args, message):
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
 # ---- three-term condition and constructor ----
 
 

@@ -34,6 +34,12 @@ def test_mod_inverse_requires_coprimality():
         mod_inverse(6, 9)
 
 
+@pytest.mark.parametrize("n", [1, 0, -5])
+def test_mod_inverse_requires_a_modulus_of_at_least_two(n):
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        mod_inverse(1, n)
+
+
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 @settings(**HYP_SETTINGS)
 def test_mod_inverse_inverts(n, a):

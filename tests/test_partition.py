@@ -69,6 +69,14 @@ def test_requires_coprime_m_and_n():
         decompose_partition(PartitionSpec(4, (2, 2)), 6)
 
 
+@pytest.mark.parametrize("n", [0, -7, 7.0])
+def test_n_must_be_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        decompose_partition(PartitionSpec(2, (1, 1)), n)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        t_set((1, 1), n)
+
+
 def test_s_set_of_known_example():
     bd = decompose_partition(PartitionSpec(5, (2, 3)), 7)
     want = {Fraction(0), Fraction(2, 7), Fraction(3, 7), Fraction(5, 7)}
