@@ -183,56 +183,81 @@ def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
 
 
 def _plan(W: int, shares: list[int], bounds: list[int]):
-    """Split W into coprime parts: (parts, shared terms, private terms per part).
+    """Split W into coprime parts: (shared terms, [(part, its terms, its walk)]).
 
-    A term belongs to each part that does not divide its share L / b_i.  The
-    last part takes the terms of no part and absorbs the parts with no
-    private term.  W stays whole when its basis (about k**2 gcds for k terms)
-    costs more than the rest lattice it could shrink, or the split is no
-    cheaper.
+    A term belongs to each part that does not divide its share L / b_i; the
+    set bits of each part's mask list them.  A part's terms end with its
+    widest, k (lowest index among ties); its walk is the product of the other
+    terms' sizes a_i + 1.  The last part takes the terms of no part and
+    absorbs the parts with no private term.  W stays whole when its basis
+    (about k**2 gcds for k terms) costs more than the rest lattice it could
+    shrink, or the split is no cheaper.
     """
-    single = [W], [], [range(len(bounds))]
-    rest = prod(map((1).__add__, bounds)) // (max(bounds) + 1)
-    if W == 1 or rest <= len(bounds) ** 2:
+    sizes = [a + 1 for a in bounds]
+    k = sizes.index(max(sizes))
+    rest = prod(sizes) // sizes[k]
+    single = [], [(W, [*range(k), *range(k + 1, len(sizes)), k], rest)]
+    if W == 1 or rest <= len(sizes) ** 2:
         return single
-    size = [a + 1 for a in bounds].__getitem__
     # q divides share s exactly when q is coprime to W // gcd(s, W), which
     # is small for most terms, unlike s.
-    cofactors = [W // gcd(s, W) for s in shares]
-    split = _coprime_split(W, cofactors)  # (part, mask of the terms it does not divide)
-    parts = [q for q, _ in split]
-    # One pass over the terms: those of exactly one part are its own.
-    private: list[list[int]] = [[] for _ in parts]
+    split = _coprime_split(W, [W // gcd(s, W) for s in shares])
+    owners: list[list[int]] = [[] for _ in sizes]
+    for j, (_, mask) in enumerate(split):
+        while mask:
+            low = mask & -mask
+            owners[low.bit_length() - 1].append(j)
+            mask ^= low
+    # Terms of exactly one part are its own.
+    private: list[list[int]] = [[] for _ in split]
     mixed = []  # (term, its parts) for terms of no part or of several
-    for i in range(len(cofactors)):
-        owners = [j for j, (_, mask) in enumerate(split) if mask >> i & 1]
-        if len(owners) == 1:
-            private[owners[0]].append(i)
+    for i, js in enumerate(owners):
+        if len(js) == 1:
+            private[js[0]].append(i)
         else:
-            mixed.append((i, owners))
+            mixed.append((i, js))
     kept = [j for j, ts in enumerate(private) if ts]
     if not kept:
         return single
     # The parts with no term of their own fold into the last part that has
     # one, which takes every term whose parts all fold (none included).
-    folded = {j for j, ts in enumerate(private) if not ts} | {kept[-1]}
-    parts = [parts[j] for j in kept[:-1]] + [prod(parts[j] for j in folded)]
+    folded = set(range(len(split))).difference(kept[:-1])
+    last = prod(split[j][0] for j in folded)
     private = [private[j] for j in kept]
-    private[-1] = sorted(private[-1] + [i for i, owners in mixed if folded.issuperset(owners)])
-    shared = [i for i, owners in mixed if not folded.issuperset(owners)]
-    walks = sum(prod(map(size, ts)) // max(map(size, ts)) for ts in private)
-    return (parts, shared, private) if prod(map(size, shared)) * walks < rest else single
+    shared = []
+    for i, js in mixed:
+        if folded.issuperset(js):
+            private[-1].append(i)
+        else:
+            shared.append(i)
+    private[-1].sort()
+    plan, walks = [], 0
+    for q, ts in zip([split[j][0] for j in kept[:-1]] + [last], private):
+        k, walk = ts[0], 1
+        for i in ts:
+            walk *= sizes[i]
+            if sizes[i] > sizes[k]:
+                k = i
+        walk //= sizes[k]
+        walks += walk
+        ts.remove(k)
+        ts.append(k)
+        plan.append((q, ts, walk))
+    for i in shared:  # every shared assignment walks every part again
+        walks *= sizes[i]
+    return (shared, plan) if walks < rest else single
 
 
 def _rows(visit, vec, part, W, cap, base=0, sols=(), others=()) -> int:
     """The rows of a part set up by _scan, with numerators offset by base;
-    returns the part's walk plus the combinations examined.  The part walks
-    its terms but the widest, k, over their ranges and shares.  A row whose
-    numerator is b needs s_k * x_k == -b (mod q) for the part q: solvable
-    when g | b, g = gcd(s_k, q), by every x_k == -(b / g) * inv (mod step)
-    below top.  Each row is visited once per combination of the solutions
-    sols of the other parts, written into vec at the terms of their set-ups
-    others; a part of its own (no sols) visits each row once."""
+    returns the part's walk (as _plan sized it) plus the combinations
+    examined.  The part walks its terms but the widest, k, over their ranges
+    and shares.  A row whose numerator is b needs s_k * x_k == -b (mod q)
+    for the part q: solvable when g | b, g = gcd(s_k, q), by every
+    x_k == -(b / g) * inv (mod step) below top.  Each row is visited once per
+    combination of the solutions sols of the other parts, written into vec
+    at the terms of their set-ups others; a part of its own (no sols) visits
+    each row once."""
     (*rest, k), ranges, shares, g, step, inv, top, s_k, walked = part
     # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
     if step * s_k % W:
@@ -270,35 +295,33 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
     L = lcm(b_i); returns combos_examined.  Calls visit(vec, k, cands, b, s_k)
     per row: vec holds every coefficient but x_k (one list rewritten in place;
     vec[k] is the visitor's), cands is the range of x_k in the ideal, and
-    b + x_k * s_k the numerators over L.  Each part walks its terms but the
-    widest, k; a walk past the cap is refused before anything is enumerated.
-    A single part (W kept whole) goes straight to its rows.  Otherwise, under
-    each shared assignment, every part but the last lists its solutions, and
-    each row of the last part comes once per combination.  Every walk sums
-    the same numerators over L and reads a part's residues from them."""
+    b + x_k * s_k the numerators over L.  _plan gives each part's terms, the
+    widest, k, last, and its walk; a walk past the cap is refused before
+    anything is enumerated.  A single part (W kept whole) goes straight to its
+    rows.  Otherwise, under each shared assignment, every part but the last
+    lists its solutions (one range for a part of one term), and each row of
+    the last part comes once per combination.  Every walk sums the same
+    numerators over L and reads a part's residues from them."""
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
     W = L // gcd(L, n)
     # A point's value is sum(x_i * shares[i]) / L, exact in integers; it is
     # in (1/n)Z exactly when that sum is 0 (mod W).
     shares = [L // t.den for t in d.terms]
-    parts, shared, private = _plan(W, shares, bounds)
+    shared, plan = _plan(W, shares, bounds)
     # One set-up per part: (its terms with the widest, k, last; the ranges and
     # shares of the rest; g, step, inv, top, s_k; the walk's size).
     setups = []
-    for q, ts in zip(parts, private):
-        k = max(ts, key=bounds.__getitem__)  # ts ascends: ties go to the lowest index
-        rest = [i for i in ts if i != k]
-        ranges = [range(bounds[i] + 1) for i in rest]
-        walk = prod(map(len, ranges))
+    for q, ts, walk in plan:
         if walk > cap:
             raise CapExceeded(f"walk of {walk} points exceeds cap {cap}")
+        *rest, k = ts
         # g divides q, so a numerator b and its residue b % q give the same
         # b // g modulo step = q // g: rows are solved from b itself.
         step = q // (g := gcd(shares[k], q))
         inv = pow(shares[k] // g, -1, step) if step > 1 else 0  # coprime to step
-        setups.append(([*rest, k], ranges, [shares[i] for i in rest], g, step, inv,
-                       bounds[k] + 1, shares[k], walk))
+        setups.append((ts, [range(bounds[i] + 1) for i in rest], [shares[i] for i in rest], g, step,
+                       inv, bounds[k] + 1, shares[k], walk))
     # The loop ends on the last part, whose rows are walked; the others are kept
     # as their solutions list them.
     *others, last = setups
@@ -315,13 +338,20 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
         for _, ranges_j, shares_j, g_j, step_j, inv_j, top_j, s_j, walk_j in others:
-            found = []
-            for xs in iproduct(*ranges_j):
-                num = sum(map(mul, xs, shares_j))
-                if not (r := base + num) % g_j:
-                    found += [((*xs, x), num + x * s_j) for x in range(-(r // g_j) * inv_j % step_j, top_j, step_j)]
-                    if walk_j + len(found) > cap:
-                        raise CapExceeded(_OVER.format(cap))
+            if not ranges_j:  # one row, numerator base: one range of x_k, or none
+                found = [] if base % g_j else [
+                    ((x,), x * s_j) for x in range(-(base // g_j) * inv_j % step_j, top_j, step_j)]
+            else:
+                found = []
+                for xs in iproduct(*ranges_j):
+                    num = sum(map(mul, xs, shares_j))
+                    if not (r := base + num) % g_j:
+                        found += [((*xs, x), num + x * s_j)
+                                  for x in range(-(r // g_j) * inv_j % step_j, top_j, step_j)]
+                        if walk_j + len(found) > cap:
+                            raise CapExceeded(_OVER.format(cap))
+            if walk_j + len(found) > cap:
+                raise CapExceeded(_OVER.format(cap))
             combos += walk_j + len(found)
             if not found:
                 break

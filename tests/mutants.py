@@ -8,9 +8,10 @@ text, test selection).  For each, the script copies src/, tests/ and
 pyproject.toml to a temporary directory, replaces the old text there, which
 must occur exactly once, by the new, and runs the selection in one
 sequential pytest process.  A mutant whose selection still passes survived:
-the tests no longer notice that change.  Each selection is first run on the
-unmutated copy, which must pass.  The script exits 0 only when every mutant
-is killed.
+the tests no longer notice that change.  A selection that runs past
+TIMEOUT_S is stopped and its mutant reported as a timeout, which counts as
+not killed.  Each selection is first run on the unmutated copy, which must
+pass in time.  The script exits 0 only when every mutant is killed.
 
 Standard library only (pytest runs in the subprocess).  pytest does not
 collect this file, and the tier-1 run leaves it out because of its run time.
@@ -37,6 +38,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Every unmutated selection passes in under 15 s on 2 vCPUs; a mutant that
+# makes a loop spin is stopped here and reported as a timeout.
+TIMEOUT_S = 120
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 SEARCH_TESTS = ("tests/test_search.py",)
 MODEL_TESTS = ("tests/test_model.py",)
@@ -65,9 +69,9 @@ MUTANTS = [
     ("one-part rows counted as no combinations", "verifier.py",
      "if sols else 1\n", "if sols else 0\n", VERIFIER_TESTS),
     ("'walk of' refusal dropped on the one-part path", "verifier.py",
-     "        if walk > cap:\n", "        if walk > cap and len(parts) > 1:\n", VERIFIER_TESTS),
+     "        if walk > cap:\n", "        if walk > cap and len(plan) > 1:\n", VERIFIER_TESTS),
     ("'walk of' refusal made for the last part only", "verifier.py",
-     "        if walk > cap:\n", "        if walk > cap and ts is private[-1]:\n", VERIFIER_TESTS),
+     "        if walk > cap:\n", "        if walk > cap and ts is plan[-1][1]:\n", VERIFIER_TESTS),
     ("colex comparison reversed", "verifier.py",
      "key < best_key", "key > best_key", VERIFIER_TESTS),
     ("outer check at cap + 1", "verifier.py",
@@ -83,6 +87,8 @@ MUTANTS = [
     ("a later part's listing counted once per earlier solution", "verifier.py",
      "combos += walk_j + len(found)\n", "combos += walk_j + len(found) * prod(map(len, sols))\n",
      VERIFIER_TESTS),
+    ("another part's listing counted without its walk", "verifier.py",
+     "combos += walk_j + len(found)\n", "combos += len(found)\n", VERIFIER_TESTS),
     ("another part's numerator dropped", "verifier.py",
      "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
     ("residue-0 shared assignments dropped", "verifier.py",
@@ -90,12 +96,17 @@ MUTANTS = [
      "        base = sum(map(mul, digits, shared_shares))\n        if not base % W:\n            continue\n",
      VERIFIER_TESTS),
     ("the plan's cofactors all W", "verifier.py",
-     "cofactors = [W // gcd(s, W) for s in shares]", "cofactors = [W for s in shares]", VERIFIER_TESTS),
+     "[W // gcd(s, W) for s in shares]", "[W for s in shares]", VERIFIER_TESTS),
     ("terms of no part dropped", "verifier.py",
-     "for i, owners in mixed if folded.issuperset(owners)]",
-     "for i, owners in mixed if owners and folded.issuperset(owners)]", VERIFIER_TESTS),
+     "    for i, js in mixed:\n", "    for i, js in mixed:\n        if not js:\n            continue\n",
+     VERIFIER_TESTS),
     ("parts with no term of their own kept apart", "verifier.py",
-     "[prod(parts[j] for j in folded)]", "[parts[kept[-1]]]", VERIFIER_TESTS),
+     "for j in folded)", "for j in kept[-1:])", VERIFIER_TESTS),
+    ("term owners read one bit off", "verifier.py",
+     "owners[low.bit_length() - 1]", "owners[low.bit_length() - 2]", VERIFIER_TESTS),
+    # verifier._scan's listing of a one-term part: one range per shared assignment.
+    ("one-term listing without its solvability test", "verifier.py",
+     "found = [] if base % g_j else [", "found = [", VERIFIER_TESTS),
     # verifier._coprime_split's owner masks, which _plan reads.
     ("split's shared half without the value's bit", "verifier.py",
      "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
@@ -195,11 +206,15 @@ MUTANTS = [
 ]
 
 
-def _pytest(tmp: Path, selection: tuple[str, ...]) -> int:
+def _pytest(tmp: Path, selection: tuple[str, ...]) -> int | None:
+    """pytest's exit code, or None when the run passed TIMEOUT_S."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", *selection]
-    return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True).returncode
+    try:
+        return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def _checkout(tmp: Path) -> None:
@@ -219,6 +234,8 @@ def run(name: str, path: str, old: str, new: str, selection: tuple[str, ...]) ->
             return f"stale: old text occurs {text.count(old)} times"
         target.write_text(text.replace(old, new))
         code = _pytest(tmp, selection)
+    if code is None:
+        return "timeout"
     # pytest exits 1 when a test failed; 0 when all passed.
     return {0: "SURVIVED", 1: "killed"}.get(code, f"error: pytest exited {code}")
 
@@ -233,8 +250,9 @@ def main(names: list[str]) -> int:
     for selection in sorted({m[4] for m in chosen}):
         with tempfile.TemporaryDirectory(prefix="faithfrac-mutant-") as tmp:
             _checkout(Path(tmp))
-            if _pytest(Path(tmp), selection) != 0:
-                print(f"unmutated {' '.join(selection)} fails; fix it first", file=sys.stderr)
+            if (code := _pytest(Path(tmp), selection)) != 0:
+                how = "runs past the timeout" if code is None else "fails"
+                print(f"unmutated {' '.join(selection)} {how}; fix it first", file=sys.stderr)
                 return 2
     bad = 0
     for mutant in chosen:

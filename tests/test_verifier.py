@@ -183,6 +183,28 @@ def test_three_part_count_is_pinned():
         verify(d, 3835)
 
 
+def test_a_walked_part_after_a_listed_one_is_counted_once():
+    # W = 60 splits into 3, 4 and 5, with no shared term.  The part 3 lists
+    # the three solutions x_4 in {0, 3, 6} of 6/15; the part 4 then walks 1/4
+    # and solves 2/8, and that listing counts once, not once per solution of
+    # the part before it.
+    d = of_pairs([(1, 4), (2, 8), (5, 25), (6, 15)])
+    violation = Violation((1, 2, 0, 0), Fraction(1, 2))
+    assert verify(d) == FaithfulnessReport(False, violation, 22, "congruence")
+
+
+@pytest.mark.parametrize("m", [201, 401, 1001])
+def test_large_theorem1_outputs_keep_the_count_law(m):
+    # 102, 202 and 502 terms, so the split's masks run past 64 bits.  Each
+    # term but the shared closing one is a part of its own, and the count
+    # keeps the law of the pinned 4-6-term cases: 4k - 2 for k terms.
+    d = theorem1(m, 2).decomposition
+    k = len(d.terms)
+    assert k == m // 2 + 2
+    assert verify(d) == FaithfulnessReport(True, None, 4 * k - 2, "congruence")
+    assert partial_sums_in_ideal(d) == {0, Fraction(m, 2)}
+
+
 def _walk_grid():
     """400 seeded 1-5-term decompositions over denominators below 40, each
     at caps 10**4, 100, 10 and 3, then at the default cap the theorem1
@@ -549,6 +571,10 @@ def factored_decompositions(draw):
 @given(factored_decompositions())
 # W has a part that only shared terms involve; the walk folds it into another.
 @example(d_of(1, 3, [(1, 19), (1, 342), (2, 37), (1, 666), (1, 7), (1, 42), (1, 18)]))
+# W = 20 splits into 4 and 5, which share 4/20.  The part 4 owns 2/38 alone
+# with g = gcd(L / 38, 4) = 2, so a shared x_3 that leaves an odd numerator
+# over L gives it no solution.
+@example(of_pairs([(2, 38), (4, 5), (4, 20)]))
 @settings(deadline=None, max_examples=60)
 def test_factored_walk_matches_the_oracle(d):
     slow = verify_naive(d)
