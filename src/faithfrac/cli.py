@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from math import gcd
 from typing import TYPE_CHECKING, Any, Sequence
 
 # verify needs only the model and the verifier; the other commands import
@@ -220,35 +219,35 @@ def cmd_partition_check(args: argparse.Namespace) -> Result:
     return EXIT_OK if check.equal else EXIT_UNFAITHFUL, out, lines
 
 
+def _grid(m_lo: int, m_hi: int, n_lo: int, n_hi: int) -> tuple[range, range]:
+    """The m and n of m_lo..m_hi and n_lo..n_hi worth walking: a row needs
+    3 <= m < n <= n_hi, so m stops at n_hi - 1 and n starts past the first m."""
+    m_lo = max(m_lo, 3)
+    return range(m_lo, min(m_hi, n_hi - 1) + 1), range(max(n_lo, m_lo + 1), n_hi + 1)
+
+
 def cmd_table(args: argparse.Namespace) -> Result:
     from .construct import prop7, theorem4
+    from .search import _sweep
 
     columns = ["n", "x", "y", "z", "r", "case", "verified"]
-    if args.kind == "four-over-n":
+    four = args.kind == "four-over-n"
+    if four:
         if args.m is not None:
             raise ValueError("--m does not apply to --kind four-over-n")
+        # 4/n is the m = 4 row of the grid, whose gcd filter keeps the odd n.
+        m, build = 4, lambda _, n: theorem4(n)
     elif args.m is None or args.m < 3:
         raise ValueError("--kind prop7 needs --m >= 3")
     else:
+        m, build = args.m, prop7
         columns.append("predicted")
-    m = args.m  # None under --kind four-over-n
     rows = []
-    # No n below 5 (four-over-n) or up to m (prop7) has a row.
-    for n in range(max(args.n_min, 5 if m is None else m + 1), args.n_max + 1):
-        if m is None:
-            if n % 2 == 0:
-                continue
-            built = theorem4(n)
-            r = max(built.decomposition.numerators)
-        else:
-            if gcd(m, n) != 1:
-                continue
-            built = prop7(m, n)
-            r = (-2 * n) % m
+    for _, n, built, verified in _sweep(*_grid(m, m, args.n_min, args.n_max), build, args.cap):
         d = built.decomposition
-        verified = verify(d, cap=args.cap).faithful
+        r = max(d.numerators) if four else (-2 * n) % m
         cells = [n, *d.denominators, r, built.trace.branch, verified]
-        if m is not None:
+        if not four:
             cells.append(built.trace.predicted_faithful)
         rows.append(cells)
     rows = _wire(rows)
@@ -280,10 +279,7 @@ def cmd_hunt(args: argparse.Namespace) -> Result:
     from .search import prop6_discrepancy_scan
 
     m_lo, m_hi = _parse_range(args.m)
-    # Only 3 <= m < n <= n_max has an instance.
-    m_lo = max(m_lo, 3)
-    ms = range(m_lo, min(m_hi, args.n_max - 1) + 1)
-    report = prop6_discrepancy_scan(ms, range(m_lo + 1, args.n_max + 1))
+    report = prop6_discrepancy_scan(*_grid(m_lo, m_hi, 0, args.n_max))  # no --n-min
     out = {
         "instances": report.instances,
         "discrepancies": [vars(i) for i in report.discrepancies],

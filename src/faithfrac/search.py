@@ -1,11 +1,17 @@
-"""Bounded exhaustive search for short faithful decompositions, plus a
-scanner that stress-tests the three-term arithmetic condition.
+"""Bounded exhaustive search for short faithful decompositions, plus the
+one sweep over a grid of m and n that stress-tests the three-term
+constructions.
 
 The length searcher proves statements of the form "m/n has no faithful
 decomposition with at most L terms and denominators at most B" by exhausting
 the bounded space, pruning with the necessary conditions (a term over b
 carries at most model.max_numerator(b, n), which is 0 when b divides n) and
 with remaining-sum intervals, all in integer numerators over D = lcm(n, b_i).
+
+_sweep builds and verifies each 3 <= m < n of a grid with gcd(m, n) == 1.
+prop6_discrepancy_scan (the CLI's hunt) reads it with prop7, and the CLI's
+table with prop7 or, for 4/n, theorem4, so the grid's filter, its
+constructor call and its verify call are written once.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator
 
-from .construct import prop7
+from .construct import Built, prop7
 from .model import Decomposition, decomposition, max_numerator
 from .verifier import DEFAULT_CAP, CapExceeded, verify
 
@@ -263,6 +269,25 @@ class Prop6ScanReport:
     discrepancies: tuple[Prop6Instance, ...]
 
 
+def _sweep(
+    m_values: Iterable[int], n_values: Iterable[int], build: Callable[[int, int], Built], cap: int
+) -> Iterator[tuple[int, int, Built, bool]]:
+    """(m, n, build(m, n), its verify verdict at cap) for every m and n of the
+    grid with 3 <= m < n and gcd(m, n) == 1, in m-major order.
+
+    Every m reads n_values again, so a one-shot iterator is stored once; a
+    range or a list is read as it is, and a wide range is never stored.
+    """
+    if iter(n_values) is n_values:
+        n_values = tuple(n_values)
+    for m in m_values:
+        for n in n_values:
+            if m < 3 or n <= m or gcd(m, n) != 1:
+                continue
+            built = build(m, n)
+            yield m, n, built, verify(built.decomposition, cap).faithful
+
+
 def prop6_discrepancy_scan(
     m_values: Iterable[int],
     n_values: Iterable[int],
@@ -275,18 +300,10 @@ def prop6_discrepancy_scan(
     """
     count = 0
     bad: list[Prop6Instance] = []
-    for m in m_values:
-        for n in n_values:
-            if m < 3 or n <= m or gcd(m, n) != 1:
-                continue
-            built = prop7(m, n)
-            d = built.decomposition
-            condition = built.trace.predicted_faithful
-            verified = verify(d).faithful
-            count += 1
-            if condition != verified:  # only a disagreement is kept
-                first, _, last = d.terms
-                bad.append(Prop6Instance(
-                    m, n, first.den, last.den // n, last.num, condition, verified
-                ))
+    for m, n, built, verified in _sweep(m_values, n_values, prop7, DEFAULT_CAP):
+        count += 1
+        condition = built.trace.predicted_faithful
+        if condition != verified:  # only a disagreement is kept
+            first, _, last = built.decomposition.terms
+            bad.append(Prop6Instance(m, n, first.den, last.den // n, last.num, condition, verified))
     return Prop6ScanReport(count, tuple(bad))

@@ -158,9 +158,14 @@ MUTANTS = [
      "    return n % y2 != 0\n", "    return m % y2 != 0\n", PROP6_TESTS),
     ("prop7 predicts faithful when x < c alone", "construct.py",
      "predicted = prop6_condition(m, n, a_den, c, x_num)", "predicted = x_num < c", PROP6_TESTS),
-    # search.prop6_discrepancy_scan keeps only disagreements.
+    # search._sweep, the one grid loop of hunt and table, and the prop6 scan
+    # that keeps only its disagreements.
     ("prop6 scan reports agreements", "search.py",
      "if condition != verified:", "if condition == verified:", SEARCH_TESTS),
+    ("sweep keeps the pairs that share a factor", "search.py",
+     "if m < 3 or n <= m or gcd(m, n) != 1:", "if m < 3 or n <= m:", CLI_TESTS),
+    ("sweep reads a one-shot n iterator once", "search.py",
+     "if iter(n_values) is n_values:", "if False:", SEARCH_TESTS),
     # search.min_length_search under --shuffle, and _sampled_sets' unranking.
     ("sampling condition without its + 1", "search.py",
      "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap - combos:", SEARCH_TESTS),
@@ -178,7 +183,7 @@ MUTANTS = [
      "for e in (d, n // d))", "for e in (d,))", SEARCH_TESTS),
     ("shuffled search past the cap not refused", "search.py",
      "        if bound > budget.combo_cap:\n", "        if False:\n", CLI_TESTS),
-    # cli._wire, the one wire rule, and the sweeps' first values.
+    # cli._wire, the one wire rule.
     ("wire form tests int before bool", "cli.py",
      "if obj is None or isinstance(obj, (bool, str)):", "if obj is None or isinstance(obj, str):", CLI_TESTS),
     ("wire form swaps a fraction's num and den", "cli.py",
@@ -186,10 +191,15 @@ MUTANTS = [
      '{"num": _wire(obj.denominator), "den": _wire(obj.numerator)}', CLI_TESTS),
     ("wire form without the digit-limit guard", "cli.py",
      "            raise _too_long() from None\n", "            raise\n", CLI_TESTS),
+    # cli._grid, the one trim of both sweeps, and table's 4/n constructor.
     ("prop7 table starts at m + 2", "cli.py",
-     "5 if m is None else m + 1", "5 if m is None else m + 2", CLI_TESTS),
+     "range(max(n_lo, m_lo + 1), n_hi + 1)", "range(max(n_lo, m_lo + 2), n_hi + 1)", CLI_TESTS),
     ("hunt starts at m = 4", "cli.py",
      "m_lo = max(m_lo, 3)", "m_lo = max(m_lo, 4)", CLI_TESTS),
+    ("sweeps stop m at n_hi - 2", "cli.py",
+     "min(m_hi, n_hi - 1)", "min(m_hi, n_hi - 2)", CLI_TESTS),
+    ("four-over-n built by prop7(4, n)", "cli.py",
+     "m, build = 4, lambda _, n: theorem4(n)", "m, build = 4, prop7", CLI_TESTS),
     ("spaced --m range read as a flag", "cli.py",
      'if words and words[-1] == "--m" and', 'if False and', CLI_TESTS),
     # The lazy package and the CLI's per-command imports.

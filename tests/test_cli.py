@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faithfrac import decomposition, is_prime, to_json
+from faithfrac import construct, decomposition, is_prime, to_json
 from faithfrac.cli import main
 
 FOUR_NINTHS = (
@@ -523,6 +523,35 @@ def test_sweeps_skip_values_that_cannot_emit(argv, expected, capsys):
     assert code == 0
     assert out == expected
     assert elapsed < 1.0
+
+
+def test_hunt_and_the_prop7_tables_read_one_sweep(capsys, monkeypatch):
+    # With the condition negated every instance disagrees, so hunt lists its
+    # whole grid, which must be the rows of the prop7 tables, m by m.
+    real = construct.prop6_condition
+    monkeypatch.setattr(construct, "prop6_condition", lambda *args: not real(*args))
+    _, out, _ = run(["hunt", "--m", "3..5", "--n-max", "60", "--format", "json"], capsys)
+    hunted = [(i["m"], i["n"], i["condition"], i["verified"]) for i in json.loads(out)["discrepancies"]]
+    tabled = []
+    for m in ("3", "4", "5"):
+        argv = ["table", "--kind", "prop7", "--m", m, "--n-min", "1", "--n-max", "60", "--format", "json"]
+        _, out, _ = run(argv, capsys)
+        tabled += [(m, r["n"], r["predicted"], r["verified"]) for r in json.loads(out)["rows"]]
+    assert hunted == tabled
+    assert len(hunted) > 100
+
+
+def test_four_over_n_is_the_m_4_row_of_the_prop7_table(capsys):
+    # theorem4 builds prop7(4, n) except at its two special cases, 9 and 15.
+    def rows(argv):
+        _, out, _ = run(["table", *argv, "--n-max", "301", "--format", "json"], capsys)
+        return json.loads(out)["rows"]
+
+    four, prop7 = rows(["--kind", "four-over-n"]), rows(["--kind", "prop7", "--m", "4"])
+    assert [r["n"] for r in four] == [r["n"] for r in prop7] == [str(n) for n in range(5, 302, 2)]
+    shared = ("n", "x", "y", "z", "case", "verified")
+    differ = [a["n"] for a, b in zip(four, prop7) if [a[k] for k in shared] != [b[k] for k in shared]]
+    assert differ == ["9", "15"]
 
 
 TOO_LONG = (

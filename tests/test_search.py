@@ -263,3 +263,10 @@ def test_prop6_scan_reports_each_disagreement_with_its_fields(monkeypatch):
     assert report.discrepancies == tuple(expected)
     assert all(inst.condition != inst.verified for inst in expected)
     assert {inst.verified for inst in expected} == {True, False}
+
+
+def test_prop6_scan_reads_a_one_shot_n_iterator_for_every_m():
+    # Every m reads the n values again, so a generator of them is stored once.
+    once = prop6_discrepancy_scan(range(3, 6), (n for n in range(4, 60)))
+    assert once == prop6_discrepancy_scan(range(3, 6), range(4, 60))
+    assert once.instances == 110
