@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="sweep a construction over a range of n")
     p_tab.add_argument("--kind", required=True, choices=["four-over-n", "prop7"])
-    p_tab.add_argument("--n-min", type=int, default=5)
+    p_tab.add_argument("--n-min", type=int, default=0)
     p_tab.add_argument("--n-max", type=int, required=True)
     p_tab.add_argument("--m", type=int, help="numerator for the prop7 kind")
     p_tab.add_argument("--cap", type=int, default=DEFAULT_CAP)

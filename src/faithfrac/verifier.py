@@ -182,69 +182,70 @@ def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
     return sorted(parts)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, in ascending order."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _sized(q: int, ts: list[int], sizes: list[int]) -> tuple[int, list[int], int]:
+    """(q, ts, walk) for a part q whose terms ts are listed in ascending
+    order: ts is reordered to end with its widest term, k (the lowest index
+    among ties), and the walk is the product of the other terms' sizes."""
+    k, walk = ts[0], 1
+    for i in ts:
+        walk *= sizes[i]
+        if sizes[i] > sizes[k]:
+            k = i
+    ts.remove(k)
+    ts.append(k)
+    return q, ts, walk // sizes[k]
+
+
 def _plan(W: int, shares: list[int], bounds: list[int]):
     """Split W into coprime parts: (shared terms, [(part, its terms, its walk)]).
 
-    A term belongs to each part that does not divide its share L / b_i; the
-    set bits of each part's mask list them.  A part's terms end with its
-    widest, k (lowest index among ties); its walk is the product of the other
-    terms' sizes a_i + 1.  The last part takes the terms of no part and
-    absorbs the parts with no private term.  W stays whole when its basis
-    (about k**2 gcds for k terms) costs more than the rest lattice it could
-    shrink, or the split is no cheaper.
+    A term belongs to each part that does not divide its share L / b_i, so
+    the set bits of a part's mask list its terms.  Reading the masks in
+    turn, `once` collects the terms of some part and `twice` those of two
+    or more.  A part with a term of its own (mask & ~twice) is kept; every
+    kept part but the last, `ahead`, walks its own terms.  The last part is
+    the product of every part not ahead, and takes every term outside
+    `lead`, the union of the masks ahead (the terms of no part among them).
+    The terms of `lead` in `twice` are shared: they are enumerated, and
+    every part is walked under each of their assignments.  Every part, and
+    W kept whole, is sized by _sized, with sizes a_i + 1.  W stays whole
+    when its basis (about k**2 gcds for k terms) costs more than the rest
+    lattice it could shrink, when no part has a term of its own, or when
+    the split is no cheaper.
     """
     sizes = [a + 1 for a in bounds]
-    k = sizes.index(max(sizes))
-    rest = prod(sizes) // sizes[k]
-    single = [], [(W, [*range(k), *range(k + 1, len(sizes)), k], rest)]
+    whole = _sized(W, [*range(len(sizes))], sizes)
+    rest, single = whole[2], ([], [whole])
     if W == 1 or rest <= len(sizes) ** 2:
         return single
     # q divides share s exactly when q is coprime to W // gcd(s, W), which
     # is small for most terms, unlike s.
     split = _coprime_split(W, [W // gcd(s, W) for s in shares])
-    owners: list[list[int]] = [[] for _ in sizes]
-    for j, (_, mask) in enumerate(split):
-        while mask:
-            low = mask & -mask
-            owners[low.bit_length() - 1].append(j)
-            mask ^= low
-    # Terms of exactly one part are its own.
-    private: list[list[int]] = [[] for _ in split]
-    mixed = []  # (term, its parts) for terms of no part or of several
-    for i, js in enumerate(owners):
-        if len(js) == 1:
-            private[js[0]].append(i)
-        else:
-            mixed.append((i, js))
-    kept = [j for j, ts in enumerate(private) if ts]
+    once = twice = 0
+    for _, mask in split:
+        twice |= once & mask
+        once |= mask
+    kept = [(q, mask) for q, mask in split if mask & ~twice]
     if not kept:
         return single
-    # The parts with no term of their own fold into the last part that has
-    # one, which takes every term whose parts all fold (none included).
-    folded = set(range(len(split))).difference(kept[:-1])
-    last = prod(split[j][0] for j in folded)
-    private = [private[j] for j in kept]
-    shared = []
-    for i, js in mixed:
-        if folded.issuperset(js):
-            private[-1].append(i)
-        else:
-            shared.append(i)
-    private[-1].sort()
-    plan, walks = [], 0
-    for q, ts in zip([split[j][0] for j in kept[:-1]] + [last], private):
-        k, walk = ts[0], 1
-        for i in ts:
-            walk *= sizes[i]
-            if sizes[i] > sizes[k]:
-                k = i
-        walk //= sizes[k]
-        walks += walk
-        ts.remove(k)
-        ts.append(k)
-        plan.append((q, ts, walk))
-    for i in shared:  # every shared assignment walks every part again
-        walks *= sizes[i]
+    ahead, lead = kept[:-1], 0
+    for _, mask in ahead:
+        lead |= mask
+    shared = _bits(lead & twice)
+    plan = [_sized(q, _bits(mask & ~twice), sizes) for q, mask in ahead]
+    plan.append(_sized(W // prod(q for q, _ in ahead), _bits((1 << len(sizes)) - 1 & ~lead), sizes))
+    # Every shared assignment walks every part again.
+    walks = sum(walk for *_, walk in plan) * prod([sizes[i] for i in shared])
     return (shared, plan) if walks < rest else single
 
 
@@ -338,20 +339,21 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
         # Each other part's solutions as (coefficients, numerator over L).
         sols = []
         for _, ranges_j, shares_j, g_j, step_j, inv_j, top_j, s_j, walk_j in others:
+            # Each range of x_k is checked against the cap before the list grows.
             if not ranges_j:  # one row, numerator base: one range of x_k, or none
-                found = [] if base % g_j else [
-                    ((x,), x * s_j) for x in range(-(base // g_j) * inv_j % step_j, top_j, step_j)]
+                xks = () if base % g_j else range(-(base // g_j) * inv_j % step_j, top_j, step_j)
+                if walk_j + len(xks) > cap:
+                    raise CapExceeded(_OVER.format(cap))
+                found = [((x,), x * s_j) for x in xks]
             else:
                 found = []
                 for xs in iproduct(*ranges_j):
                     num = sum(map(mul, xs, shares_j))
                     if not (r := base + num) % g_j:
-                        found += [((*xs, x), num + x * s_j)
-                                  for x in range(-(r // g_j) * inv_j % step_j, top_j, step_j)]
-                        if walk_j + len(found) > cap:
+                        xks = range(-(r // g_j) * inv_j % step_j, top_j, step_j)
+                        if walk_j + len(found) + len(xks) > cap:
                             raise CapExceeded(_OVER.format(cap))
-            if walk_j + len(found) > cap:
-                raise CapExceeded(_OVER.format(cap))
+                        found += [((*xs, x), num + x * s_j) for x in xks]
             combos += walk_j + len(found)
             if not found:
                 break

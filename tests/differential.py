@@ -16,6 +16,13 @@ verify_naive at every cap of NAIVE_CAPS, and writes one line per call: the
 report's repr, the sorted set, or the exception's type and text
 (CapExceeded, or a fault such as the walk's own RuntimeError).
 
+Both sides then make the library calls of api_corpus and write one line
+per call, the result's repr (a set sorted) or the exception's type and
+text: validate on decompositions well formed or not, every constructor
+(general_coprime under both policies, with omega and seed) over small
+targets valid or not, min_length_search with and without a shuffle seed,
+and check_partition_theorem on every partition of m <= 6 over n <= 20.
+
 Both sides then run the argv lists of cli_corpus through faithfrac.cli.main,
 with stdin, stdout and stderr captured, and write one line per call: the
 exit code (or the exception that escaped main), stdout and stderr.  The
@@ -82,6 +89,60 @@ def corpus() -> list[tuple[int, int, list[tuple[int, int]]]]:
     return out
 
 
+def partitions(m: int, top: int | None = None):
+    """The partitions of m as non-increasing tuples, parts at most top."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, top or m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first, *rest)
+
+
+def api_corpus(cases) -> list[tuple[str, list]]:
+    """(function name, JSON arguments) for every other library call."""
+    rng = random.Random(23)
+    calls = []
+    # validate: one in six of the decompositions as they are, the rest broken
+    # one way each (the checks raise on these, so they are met only here).
+    for m, n, pairs in rng.sample(cases, 1200):
+        how = rng.randrange(6)
+        if how == 1 and pairs:
+            pairs = [*pairs, pairs[0]]  # duplicate denominator
+        elif how == 2:
+            m += 1  # sum mismatch
+        elif how == 3:
+            m = rng.choice((0, -m))  # nonpositive target
+        elif how == 4:
+            pairs = []
+        elif how == 5:
+            pairs = [(rng.randint(-1, 0), b) for _, b in pairs[:1]] + pairs[1:]  # a part below 1
+        calls.append(("validate", [m, n, pairs]))
+    calls += [("two_term", [m, n]) for n in range(-1, 41) for m in range(-1, n + 2)]
+    calls += [("theorem1", [m, n]) for n in range(-1, 61) for m in range(n - 1, 4 * n + 2)]
+    calls += [("general_coprime", [m, n, policy, omega, seed])
+              for n in range(1, 13) for m in range(1, 2 * n + 2)
+              for policy in ("unit", "max") for omega, seed in (([], 0), ([2, 9], 0), ([5], 2), ([], -1))]
+    # Under "max" the head stays short up to larger targets.
+    calls += [("general_coprime", [m, n, "max", omega, seed]) for n in range(1, 25)
+              for m in range(2 * n + 2, 5 * n) for omega, seed in (([], 0), ([3], 1))]
+    calls += [("general_coprime", [3, 2, "other", [], 0])]
+    calls += [("prop7", [m, n]) for m in range(1, 9) for n in range(-1, 61)]
+    calls += [("theorem4", [n]) for n in range(-2, 301)]
+    calls += [("from_perfect", [p]) for p in (*range(-1, 500), 8128, 33550336, 33550337)]
+    searches = [(7, 3, 3, 30), (2, 3, 3, 12), (5, 6, 2, 30), (4, 9, 3, 36), (11, 5, 3, 24),
+                (7, 4, 3, 40), (3, 1, 2, 20), (5, 9, 2, 18), (7, 3, 4, 20), (11, 5, 4, 16),
+                (6, 25, 3, 50), (8, 9, 3, 30)]
+    calls += [("min_length_search", [m, n, length, den, cap, seed])
+              for m, n, length, den in searches for cap in (10_000_000, 2_000)
+              for seed in (None, 1, 2)]
+    calls += [("min_length_search", [7, 3, 0, 30, 100, None])]
+    calls += [("check_partition_theorem", [m, n, parts, cap])
+              for m in range(1, 7) for parts in partitions(m) for n in range(1, 21)
+              if gcd(m, n) == 1 and m < 5 * n for cap in (10_000_000, 50)]
+    calls += [("check_partition_theorem", [5, 7, (2, 2), 1000])]
+    return calls
+
+
 def cli_corpus() -> list[tuple[list[str], str]]:
     """(argv, stdin) for every CLI call."""
     fmts = (["--format", "csv"], ["--format", "json"], ["--format", "text"])
@@ -134,17 +195,29 @@ def worker(src: str, cases: str) -> None:
     if not Path(faithfrac.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"faithfrac imported from {faithfrac.__file__}, not from {src}")
 
-    def outcome(check, d, cap):
+    def outcome(check, *args):
         try:
-            return repr(check(d, cap))
+            return repr(check(*args))
         except Exception as e:  # CapExceeded, and any fault a changed walk trips
             return f"{type(e).__name__}: {e}"
 
     def sums(d, cap):
         return sorted(partial_sums_in_ideal(d, cap))
 
+    def partition_check(m, n, parts, cap):
+        check = faithfrac.check_partition_theorem(faithfrac.PartitionSpec(m, tuple(parts)), n, cap)
+        return check.block_decomposition, sorted(check.s), sorted(check.t)
+
+    api = {
+        "validate": lambda m, n, pairs: faithfrac.validate(
+            decomposition(Fraction(m, n), [tuple(p) for p in pairs])),
+        "min_length_search": lambda m, n, length, den, cap, seed: faithfrac.min_length_search(
+            m, n, faithfrac.SearchBudget(length, den, cap), shuffle_seed=seed),
+        "check_partition_theorem": partition_check,
+    }
+
     out = sys.stdout
-    decompositions, calls = json.loads(Path(cases).read_text())
+    decompositions, api_calls, calls = json.loads(Path(cases).read_text())
     for m, n, pairs in decompositions:
         d = decomposition(Fraction(m, n), [tuple(p) for p in pairs])
         for cap in CAPS:
@@ -152,6 +225,11 @@ def worker(src: str, cases: str) -> None:
             out.write(f"partial_sums_in_ideal {cap} {outcome(sums, d, cap)}\n")
         for cap in NAIVE_CAPS:
             out.write(f"verify_naive {cap} {outcome(verify_naive, d, cap)}\n")
+    for name, args in api_calls:
+        # A constructor is looked up by name, so one missing on a side shows
+        # as a difference.
+        call = api.get(name) or (lambda *a, name=name: getattr(faithfrac, name)(*a))
+        out.write(f"{name} {outcome(call, *args)}\n")
     for argv, stdin in calls:
         sys.stdin, stdout, stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -181,9 +259,10 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     cases, calls = corpus(), cli_corpus()
+    api_calls = api_corpus(cases)
     with tempfile.TemporaryDirectory(prefix="faithfrac-differential-") as tmp:
         tmp = Path(tmp)
-        (tmp / "cases.json").write_text(json.dumps([cases, calls]))
+        (tmp / "cases.json").write_text(json.dumps([cases, api_calls, calls]))
         sides = [unpack(argv[0], tmp / "rev"), ROOT / "src"]
         runs = []
         for side, src in enumerate(sides):
@@ -197,20 +276,28 @@ def main(argv: list[str]) -> int:
     old, new = outs
     diffs = [i for i in range(max(len(old), len(new)))
              if i >= len(old) or i >= len(new) or old[i] != new[i]]
-    library = len(cases) * PER_CASE  # the library lines come first
+    # The checks' lines come first, then the other library calls, then the CLI's.
+    library = len(cases) * PER_CASE
+    cli_start = library + len(api_calls)
     for i in diffs[:SHOWN]:
         if i < library:
             m, n, pairs = cases[i // PER_CASE]
             print(f"{m}/{n} = {' + '.join(f'{a}/{b}' for a, b in pairs)}")
+        elif i < cli_start:
+            name, args = api_calls[i - library]
+            print(f"{name}({', '.join(map(repr, args))})")
         else:
-            argv_i, stdin = calls[i - library]
+            argv_i, stdin = calls[i - cli_start]
             print(f"faithfrac {' '.join(argv_i)}{' < ' + stdin if stdin else ''}")
         for side, lines in ((argv[0], old), ("work", new)):
             line = lines[i] if i < len(lines) else "(missing)"
             print(f"  {side}: {line[:WIDTH]}{' ...' if len(line) > WIDTH else ''}")
-    in_library = sum(i < library for i in diffs)
-    print(f"{in_library} differences in {library} calls on {len(cases)} decompositions")
-    print(f"{len(diffs) - in_library} differences in {len(calls)} CLI calls")
+    in_checks = sum(i < library for i in diffs)
+    in_api = sum(library <= i < cli_start for i in diffs)
+    print(f"{in_checks} differences in {library} calls on {len(cases)} decompositions")
+    print(f"{in_api} differences in {len(api_calls)} calls of validate, the constructors, "
+          "the search and the partition check")
+    print(f"{len(diffs) - in_checks - in_api} differences in {len(calls)} CLI calls")
     return 1 if diffs else 0
 
 if __name__ == "__main__":

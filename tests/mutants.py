@@ -97,16 +97,26 @@ MUTANTS = [
      VERIFIER_TESTS),
     ("the plan's cofactors all W", "verifier.py",
      "[W // gcd(s, W) for s in shares]", "[W for s in shares]", VERIFIER_TESTS),
+    # verifier._plan's term masks and _bits, which lists a mask's terms.
     ("terms of no part dropped", "verifier.py",
-     "    for i, js in mixed:\n", "    for i, js in mixed:\n        if not js:\n            continue\n",
-     VERIFIER_TESTS),
+     "_bits((1 << len(sizes)) - 1 & ~lead)", "_bits(once & ~lead)", VERIFIER_TESTS),
     ("parts with no term of their own kept apart", "verifier.py",
-     "for j in folded)", "for j in kept[-1:])", VERIFIER_TESTS),
+     "_sized(W // prod(q for q, _ in ahead),", "_sized(kept[-1][0],", VERIFIER_TESTS),
     ("term owners read one bit off", "verifier.py",
-     "owners[low.bit_length() - 1]", "owners[low.bit_length() - 2]", VERIFIER_TESTS),
-    # verifier._scan's listing of a one-term part: one range per shared assignment.
+     "bits.append(low.bit_length() - 1)", "bits.append(low.bit_length() - 2)", VERIFIER_TESTS),
+    ("every term counted twice", "verifier.py",
+     "twice |= once & mask", "twice |= mask", VERIFIER_TESTS),
+    ("own terms read as the whole mask", "verifier.py",
+     "_bits(mask & ~twice), sizes)", "_bits(mask), sizes)", VERIFIER_TESTS),
+    ("shared terms read as lead", "verifier.py",
+     "shared = _bits(lead & twice)", "shared = _bits(lead)", VERIFIER_TESTS),
+    # verifier._scan's listing of the other parts, one range of x_k at a time.
     ("one-term listing without its solvability test", "verifier.py",
-     "found = [] if base % g_j else [", "found = [", VERIFIER_TESTS),
+     "xks = () if base % g_j else range(", "xks = range(", VERIFIER_TESTS),
+    ("listing checked against the cap without the range it adds", "verifier.py",
+     "if walk_j + len(found) + len(xks) > cap:", "if walk_j + len(found) > cap:", VERIFIER_TESTS),
+    ("one-term listing checked against the cap without its range", "verifier.py",
+     "if walk_j + len(xks) > cap:", "if walk_j > cap:", VERIFIER_TESTS),
     # verifier._coprime_split's owner masks, which _plan reads.
     ("split's shared half without the value's bit", "verifier.py",
      "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),

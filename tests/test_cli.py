@@ -377,13 +377,13 @@ def test_table_four_over_n_full_sweep_rows(capsys):
 
 
 def test_table_prop7_prediction_column(capsys):
-    code, out, _ = run(
-        ["table", "--kind", "prop7", "--m", "3", "--n-min", "4", "--n-max", "50"],
-        capsys,
-    )
+    code, out, _ = run(["table", "--kind", "prop7", "--m", "3", "--n-max", "50"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,x,y,z,r,case,verified,predicted"
+    # With no --n-min the sweep starts at n = m + 1, as hunt's does: the
+    # (3, 4) row is one of prop7's unfaithful outputs.
+    assert lines[1] == "4,2,6,12,1,case1,false,false"
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[-1] == cells[-2]  # verified always equals predicted
@@ -534,7 +534,7 @@ def test_hunt_and_the_prop7_tables_read_one_sweep(capsys, monkeypatch):
     hunted = [(i["m"], i["n"], i["condition"], i["verified"]) for i in json.loads(out)["discrepancies"]]
     tabled = []
     for m in ("3", "4", "5"):
-        argv = ["table", "--kind", "prop7", "--m", m, "--n-min", "1", "--n-max", "60", "--format", "json"]
+        argv = ["table", "--kind", "prop7", "--m", m, "--n-max", "60", "--format", "json"]
         _, out, _ = run(argv, capsys)
         tabled += [(m, r["n"], r["predicted"], r["verified"]) for r in json.loads(out)["rows"]]
     assert hunted == tabled

@@ -8,6 +8,7 @@ The naive oracle is the ground truth everything else is held to.
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -273,6 +274,27 @@ def test_walk_past_the_cap_raises_at_once():
         verify(d)
     with pytest.raises(CapExceeded):
         partial_sums_in_ideal(d)
+
+
+@pytest.mark.parametrize("pairs", [
+    # W = 6: the part 2 lists the one term 400002/14 (about 2e5 solutions),
+    # and the part 3 walks 4/43 and 3/3 after it.
+    pytest.param([(400002, 14), (4, 43), (3, 3)], id="one-term-listing"),
+    # W = 20: the part 4 lists 1/14 and 400002/4 (about 1e5 solutions a
+    # row), and the part 5 walks 5/35 after it.
+    pytest.param([(400002, 4), (1, 14), (5, 35)], id="two-term-listing"),
+])
+def test_another_part_past_the_cap_raises_before_its_list_grows(pairs):
+    d = of_pairs(pairs)
+    for check in (verify, partial_sums_in_ideal):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="combination evaluations exceeded cap 1000"):
+                check(d, cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (check.__name__, peak)
 
 
 def test_lattice_past_float_range_hits_the_cap():
