@@ -8,12 +8,11 @@ denominator coprime to the forbidden set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterable, NamedTuple
 
-from .model import Decomposition, coprime_shape, decomposition, scale, validate
+from .model import Decomposition, _Record, _setfield, coprime_shape, decomposition, scale, validate
 from .numeric import BezoutPair, mod_inverse, next_prime_avoiding
 
 __all__ = [
@@ -47,17 +46,34 @@ class TermBudgetExceeded(ValueError):
 UNIT_HEAD_MAX_TERMS = 500
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(_Record):
     """How a decomposition was assembled, for audit and reproducibility."""
 
-    primes_used: tuple[int, ...] = ()
-    bezout: BezoutPair | None = None
-    progression_steps: int = 0
-    branch: str | None = None
-    applied_scaling: int | None = None
-    avoided: tuple[int, ...] = ()
-    predicted_faithful: bool | None = None
+    primes_used: tuple[int, ...]
+    bezout: BezoutPair | None
+    progression_steps: int
+    branch: str | None
+    applied_scaling: int | None
+    avoided: tuple[int, ...]
+    predicted_faithful: bool | None
+
+    def __init__(
+        self,
+        primes_used: tuple[int, ...] = (),
+        bezout: BezoutPair | None = None,
+        progression_steps: int = 0,
+        branch: str | None = None,
+        applied_scaling: int | None = None,
+        avoided: tuple[int, ...] = (),
+        predicted_faithful: bool | None = None,
+    ) -> None:
+        _setfield(self, "primes_used", primes_used)
+        _setfield(self, "bezout", bezout)
+        _setfield(self, "progression_steps", progression_steps)
+        _setfield(self, "branch", branch)
+        _setfield(self, "applied_scaling", applied_scaling)
+        _setfield(self, "avoided", avoided)
+        _setfield(self, "predicted_faithful", predicted_faithful)
 
 
 class Built(NamedTuple):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -31,24 +31,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Term:
+# A record's __init__ writes its fields past its own __setattr__.  Written
+# this way they stay in the instance's inline values, which read twice as
+# fast as a __dict__ filled by subscript.
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's frozen value records.
+
+    A subclass annotates its fields and writes an __init__ that sets exactly
+    those fields, in order, with _setfield, so vars() is the field dict.
+    repr, == (between two instances of one class) and hash read the fields
+    in that order, and any later write or delete raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # A subclass's own annotations follow its base's fields.  Every
+        # record has two or more fields, so _key returns a tuple.
+        cls._fields = cls.__match_args__ = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+class Term(_Record):
     """One written fraction num/den with positive integer parts."""
 
     num: int
     den: int
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
+    def __init__(self, num: int, den: int) -> None:
         # bool is an int subclass, but a True part would not survive the JSON form.
         if type(num) is bool or type(den) is bool or not (isinstance(num, int) and isinstance(den, int)):
             raise ValueError("term parts must be integers")
         if num < 1 or den < 1:
             raise ValueError("term parts must be positive")
+        _setfield(self, "num", num)
+        _setfield(self, "den", den)
+
+    # Term and Decomposition are compared on hot paths (a decomposition
+    # against its JSON round trip), so they spell out _Record's == and hash
+    # over their own fields, which reads them faster than the key does.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """An ordered sum of written terms with its reduced target value.
 
     The structural audit is worked out once per instance, on first use, and
@@ -59,11 +111,17 @@ class Decomposition:
     target: Fraction
     terms: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.target) is not Fraction:
-            object.__setattr__(self, "target", Fraction(self.target))
-        if type(self.terms) is not tuple:
-            object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, target: Fraction, terms: tuple[Term, ...]) -> None:
+        _setfield(self, "target", target if type(target) is Fraction else Fraction(target))
+        _setfield(self, "terms", terms if type(terms) is tuple else tuple(terms))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.target == other.target and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.terms))
 
     @cached_property
     def _audit(self) -> tuple[tuple[str, ...], int]:

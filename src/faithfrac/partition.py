@@ -8,12 +8,11 @@ m_i/n themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .construct import general_coprime
-from .model import Decomposition, validate
+from .model import Decomposition, _Record, _setfield, validate
 from .verifier import DEFAULT_CAP, partial_sums_in_ideal
 
 __all__ = [
@@ -26,28 +25,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(_Record):
     """A partition m = sum(parts) with every part positive."""
 
     m: int
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts or any((not isinstance(p, int)) or p < 1 for p in self.parts):
+    def __init__(self, m: int, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
+        # bool is an int subclass, as for a term's parts.
+        if type(m) is bool or not isinstance(m, int):
+            raise ValueError("m must be an integer")
+        if not parts or any(type(p) is bool or not isinstance(p, int) or p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        if sum(self.parts) != self.m:
-            raise ValueError(f"parts sum to {sum(self.parts)}, not {self.m}")
+        if sum(parts) != m:
+            raise ValueError(f"parts sum to {sum(parts)}, not {m}")
+        _setfield(self, "m", m)
+        _setfield(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(_Record):
     """Per-part blocks plus their concatenation as one decomposition of m/n."""
 
     parts: tuple[int, ...]
     blocks: tuple[Decomposition, ...]
     combined: Decomposition
+
+    def __init__(
+        self, parts: tuple[int, ...], blocks: tuple[Decomposition, ...], combined: Decomposition
+    ) -> None:
+        _setfield(self, "parts", parts)
+        _setfield(self, "blocks", blocks)
+        _setfield(self, "combined", combined)
 
 
 def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
@@ -99,11 +108,17 @@ def t_set(parts: tuple[int, ...], n: int) -> frozenset[Fraction]:
     return frozenset(Fraction(s, n) for s in sums)
 
 
-@dataclass(frozen=True)
-class PartitionCheck:
+class PartitionCheck(_Record):
     block_decomposition: BlockDecomposition
     s: frozenset[Fraction]
     t: frozenset[Fraction]
+
+    def __init__(
+        self, block_decomposition: BlockDecomposition, s: frozenset[Fraction], t: frozenset[Fraction]
+    ) -> None:
+        _setfield(self, "block_decomposition", block_decomposition)
+        _setfield(self, "s", s)
+        _setfield(self, "t", t)
 
     @property
     def equal(self) -> bool:

@@ -17,13 +17,12 @@ constructor call and its verify call are written once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator
 
 from .construct import Built, prop7
-from .model import Decomposition, decomposition, max_numerator
+from .model import Decomposition, _Record, _setfield, decomposition, max_numerator
 from .verifier import DEFAULT_CAP, CapExceeded, verify
 
 __all__ = [
@@ -37,30 +36,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     max_length: int
     max_denominator: int
-    combo_cap: int = DEFAULT_CAP
+    combo_cap: int
 
-    def __post_init__(self) -> None:
-        if self.max_length < 1 or self.max_denominator < 2 or self.combo_cap < 1:
+    def __init__(self, max_length: int, max_denominator: int, combo_cap: int = DEFAULT_CAP) -> None:
+        # bool is an int subclass, as for a term's parts.
+        bounds = (max_length, max_denominator, combo_cap)
+        if any(type(v) is bool or not isinstance(v, int) for v in bounds):
+            raise ValueError("budget bounds must be integers")
+        if max_length < 1 or max_denominator < 2 or combo_cap < 1:
             raise ValueError("budget bounds out of range")
+        _setfield(self, "max_length", max_length)
+        _setfield(self, "max_denominator", max_denominator)
+        _setfield(self, "combo_cap", combo_cap)
 
 
-@dataclass(frozen=True)
-class LengthOutcome:
+class LengthOutcome(_Record):
     length: int
     found: Decomposition | None
     exhausted: bool
 
+    def __init__(self, length: int, found: Decomposition | None, exhausted: bool) -> None:
+        _setfield(self, "length", length)
+        _setfield(self, "found", found)
+        _setfield(self, "exhausted", exhausted)
 
-@dataclass(frozen=True)
-class SearchResult:
+
+class SearchResult(_Record):
     target: Fraction
     outcomes: tuple[LengthOutcome, ...]
     cap_hit: bool
     combos_used: int
+
+    def __init__(
+        self, target: Fraction, outcomes: tuple[LengthOutcome, ...], cap_hit: bool, combos_used: int
+    ) -> None:
+        _setfield(self, "target", target)
+        _setfield(self, "outcomes", outcomes)
+        _setfield(self, "cap_hit", cap_hit)
+        _setfield(self, "combos_used", combos_used)
 
     @property
     def witness(self) -> Decomposition | None:
@@ -252,8 +268,7 @@ def min_length_search(
     return SearchResult(target, tuple(outcomes), cap_hit, combos)
 
 
-@dataclass(frozen=True)
-class Prop6Instance:
+class Prop6Instance(_Record):
     m: int
     n: int
     y2: int
@@ -262,11 +277,23 @@ class Prop6Instance:
     condition: bool
     verified: bool
 
+    def __init__(self, m: int, n: int, y2: int, y: int, x: int, condition: bool, verified: bool) -> None:
+        _setfield(self, "m", m)
+        _setfield(self, "n", n)
+        _setfield(self, "y2", y2)
+        _setfield(self, "y", y)
+        _setfield(self, "x", x)
+        _setfield(self, "condition", condition)
+        _setfield(self, "verified", verified)
 
-@dataclass(frozen=True)
-class Prop6ScanReport:
+
+class Prop6ScanReport(_Record):
     instances: int
     discrepancies: tuple[Prop6Instance, ...]
+
+    def __init__(self, instances: int, discrepancies: tuple[Prop6Instance, ...]) -> None:
+        _setfield(self, "instances", instances)
+        _setfield(self, "discrepancies", discrepancies)
 
 
 def _sweep(

@@ -33,13 +33,12 @@ once per instance (model.Decomposition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, prod
 from operator import mul
 
-from .model import Decomposition
+from .model import Decomposition, _Record, _setfield
 
 __all__ = [
     "DEFAULT_CAP",
@@ -60,16 +59,18 @@ class CapExceeded(RuntimeError):
     """Raised when a check would need more combination evaluations than allowed."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A coefficient vector whose value falsifies faithfulness."""
 
     coefficients: tuple[int, ...]
     value: Fraction
 
+    def __init__(self, coefficients: tuple[int, ...], value: Fraction) -> None:
+        _setfield(self, "coefficients", coefficients)
+        _setfield(self, "value", value)
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
+
+class FaithfulnessReport(_Record):
     """A verdict, its colex-minimal violation, and what it cost.
 
     method is "congruence" from verify and "naive" from verify_naive.
@@ -82,6 +83,14 @@ class FaithfulnessReport:
     violation: Violation | None
     combos_examined: int
     method: str
+
+    def __init__(
+        self, faithful: bool, violation: Violation | None, combos_examined: int, method: str
+    ) -> None:
+        _setfield(self, "faithful", faithful)
+        _setfield(self, "violation", violation)
+        _setfield(self, "combos_examined", combos_examined)
+        _setfield(self, "method", method)
 
 
 def _checked(d: Decomposition) -> int:

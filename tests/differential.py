@@ -30,7 +30,8 @@ lists cover every table kind, format and cap over awkward n ranges, hunt
 over awkward m ranges, and each other command and strategy.
 
 The script prints the number of lines that differ in each corpus, and the
-first few, and exits 1 if any does.
+first few, each from a little before the first character in which the two
+sides differ, and exits 1 if any does.
 
 Standard library only.  pytest does not collect this file, and the tier-1
 run leaves it out because of its run time.
@@ -56,7 +57,9 @@ CAPS = (10_000_000, 10_000, 500, 50)
 NAIVE_CAPS = (100_000, 500, 50)
 # Lines each decomposition writes: verify and partial sums per cap, the oracle per cap.
 PER_CASE = 2 * len(CAPS) + len(NAIVE_CAPS)
-SHOWN, WIDTH = 5, 240  # differences printed, and their characters
+# Differences printed, and the characters shown of each: a window that
+# starts LEAD characters before the first character in which the sides differ.
+SHOWN, WIDTH, LEAD = 5, 240, 60
 FOUR_NINTHS = ('{"target":{"num":"4","den":"9"},'
                '"terms":[{"num":"1","den":"4"},{"num":"1","den":"6"},{"num":"1","den":"36"}]}')
 FIVE_SIXTHS = ('{"target":{"num":"5","den":"6"},'
@@ -289,9 +292,11 @@ def main(argv: list[str]) -> int:
         else:
             argv_i, stdin = calls[i - cli_start]
             print(f"faithfrac {' '.join(argv_i)}{' < ' + stdin if stdin else ''}")
-        for side, lines in ((argv[0], old), ("work", new)):
-            line = lines[i] if i < len(lines) else "(missing)"
-            print(f"  {side}: {line[:WIDTH]}{' ...' if len(line) > WIDTH else ''}")
+        pair = [lines[i] if i < len(lines) else "(missing)" for lines in (old, new)]
+        first = next((j for j, (a, b) in enumerate(zip(*pair)) if a != b), min(map(len, pair)))
+        lo = max(0, first - LEAD)
+        for side, line in zip((argv[0], "work"), pair):
+            print(f"  {side}: {'... ' if lo else ''}{line[lo:lo + WIDTH]}{' ...' if len(line) > lo + WIDTH else ''}")
     in_checks = sum(i < library for i in diffs)
     in_api = sum(library <= i < cli_start for i in diffs)
     print(f"{in_checks} differences in {library} calls on {len(cases)} decompositions")

@@ -148,9 +148,30 @@ MUTANTS = [
     ("validate hands out the kept problems themselves", "model.py",
      "return list(d._audit[0])", "return d._audit[0]", MODEL_TESTS),
     ("coercion skipped for an int target", "model.py",
-     "if type(self.target) is not Fraction:", "if type(self.target) not in (Fraction, int):", MODEL_TESTS),
+     "target if type(target) is Fraction else", "target if type(target) in (Fraction, int) else", MODEL_TESTS),
     ("bool accepted as a term's numerator", "model.py",
      "if type(num) is bool or type(den) is bool or", "if type(den) is bool or", MODEL_TESTS),
+    # model._Record, the one base of the value records, and the checks of
+    # the records that take integers.
+    ("record == without the same-class test", "model.py",
+     "if other.__class__ is self.__class__:\n            return self._key(self)",
+     "if True:\n            return self._key(self)", MODEL_TESTS),
+    ("record key leaves out one field", "model.py",
+     "attrgetter(*cls._fields)", "attrgetter(*cls._fields[:-1])", MODEL_TESTS),
+    ("record write allowed", "model.py",
+     '        raise AttributeError(f"cannot assign', '        return _setfield(self, name, value)\n        raise AttributeError(f"cannot assign', MODEL_TESTS),
+    ("term == without the denominator", "model.py",
+     "return self.num == other.num and self.den == other.den", "return self.num == other.num",
+     MODEL_TESTS),
+    ("decomposition == without the terms", "model.py",
+     "return self.target == other.target and self.terms == other.terms",
+     "return self.target == other.target", MODEL_TESTS),
+    ("model imports dataclasses", "model.py",
+     "import json\n", "import dataclasses\nimport json\n", IMPORT_GUARD),
+    ("bool accepted as a partition part", "partition.py",
+     "any(type(p) is bool or not", "any(not", PARTITION_TESTS),
+    ("budget bounds of any type accepted", "search.py",
+     'raise ValueError("budget bounds must be integers")', "pass", SEARCH_TESTS),
     # model.max_numerator, the one statement of the necessary conditions.
     ("numerator bound without its - 1", "model.py",
      "return (b - 1) // gcd(b, n)", "return b // gcd(b, n)", MODEL_TESTS),

@@ -352,6 +352,9 @@ def test_prop6_condition_rejects_bad_shapes():
         prop6_condition(4, 13, 4, 8, 2)
     with pytest.raises(ValueError):
         prop6_condition(4, 13, 5, 7, 2)
+    # 2/3 = 1/3 + 1/6 + 1/6: the middle term repeats y * n.
+    with pytest.raises(ValueError, match="not distinct"):
+        prop6_condition(2, 3, 3, 2, 1)
 
 
 def fraction_prop6(m, n, y2, y, x):

@@ -1,5 +1,6 @@
 """Decomposition data model: validation, scaling, structure checks, JSON."""
 
+import inspect
 import pickle
 import sys
 from fractions import Fraction
@@ -9,8 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    BlockDecomposition,
+    ConstructionTrace,
     Decomposition,
+    FaithfulnessReport,
+    LengthOutcome,
+    PartitionCheck,
+    PartitionSpec,
+    Prop6Instance,
+    Prop6ScanReport,
+    SearchBudget,
+    SearchResult,
     Term,
+    Violation,
     coprime_shape,
     decomposition,
     from_json,
@@ -102,6 +114,59 @@ def test_the_kept_audit_leaves_equality_hash_repr_and_pickle_unchanged():
         back = pickle.loads(pickle.dumps(original))
         assert back == original and repr(back) == repr(original) and hash(back) == hash(original)
         assert validate(back) == [] and verify(back) == verify(d)
+
+
+# Every record class with field values its __init__ accepts.
+HALF = Decomposition(Fraction(1, 2), (Term(1, 2),))
+RECORDS = [
+    (Term, (1, 4)),
+    (Decomposition, (Fraction(5, 6), (Term(1, 2), Term(1, 3)))),
+    (Violation, ((1, 0), Fraction(1, 2))),
+    (FaithfulnessReport, (True, None, 14, "congruence")),
+    (ConstructionTrace, ((2, 3), None, 1, "case1", 2, (5,), True)),
+    (PartitionSpec, (3, (1, 2))),
+    (BlockDecomposition, ((1,), (HALF,), HALF)),
+    (PartitionCheck, (1, frozenset({Fraction(1)}), frozenset())),
+    (SearchBudget, (3, 10, 100)),
+    (LengthOutcome, (1, HALF, False)),
+    (SearchResult, (Fraction(1, 2), (), True, 7)),
+    (Prop6Instance, (3, 4, 2, 3, 1, False, True)),
+    (Prop6ScanReport, (5, ())),
+]
+
+
+@pytest.mark.parametrize("cls,values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_frozen_values_of_their_fields(cls, values):
+    params = inspect.signature(cls).parameters
+    fields = dict(zip(params, values))
+    r = cls(*values)
+    assert repr(r) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    assert list(vars(r).items()) == list(fields.items())
+    assert hash(r) == hash(values)
+    assert r == cls(*values) and not r != cls(*values)
+    # Equal field values in another class: a subclass, and two unrelated records.
+    twin = type("Twin", (cls,), {})(*values)
+    assert r != twin and twin != r and repr(twin).startswith("Twin(")
+    assert BlockDecomposition(1, 2, 3) != PartitionCheck(1, 2, 3)
+    name = next(iter(fields))
+    for change in (lambda: setattr(r, name, None), lambda: delattr(r, name),
+                   lambda: setattr(r, "extra", None)):
+        with pytest.raises(AttributeError):
+            change()
+    assert vars(r) == fields
+    required = sum(p.default is p.empty for p in params.values())
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[: required - 1])
+
+
+def test_term_and_decomposition_compare_every_field():
+    # The two records that spell out their own == and hash.
+    assert Term(1, 4) != Term(2, 4) and Term(1, 4) != Term(1, 5)
+    d = d_of(5, 6, [(1, 2), (1, 3)])
+    assert d != d_of(5, 7, [(1, 2), (1, 3)]) and d != d_of(5, 6, [(1, 2), (1, 4)])
 
 
 def test_validate_accepts_exact_examples():

@@ -79,3 +79,11 @@ def test_version_imports_no_submodule():
         "import faithfrac\nversion = faithfrac.__version__\n"
         "print(json.dumps([version, sorted(m for m in sys.modules if m.startswith('faithfrac'))]))"
     ) == ["0.1.0", ["faithfrac"]]
+
+
+def test_the_whole_package_loads_neither_dataclasses_nor_inspect():
+    # The value records share one small base class in faithfrac.model.
+    assert fresh(
+        "import faithfrac\nfaithfrac.verify\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+    ) == []

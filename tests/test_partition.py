@@ -30,6 +30,13 @@ def test_spec_must_sum_and_stay_positive():
         PartitionSpec(2, ())
 
 
+@pytest.mark.parametrize("m,parts", [(2.0, (1, 1)), (2, (True, True)), (True, (True,)), (2, (1.0, 1))])
+def test_spec_parts_and_m_must_be_integers_not_booleans(m, parts):
+    # Each of these sums to m, so only the type check refuses it.
+    with pytest.raises(ValueError, match="integer"):
+        PartitionSpec(m, parts)
+
+
 def test_two_plus_three_over_seven():
     bd = decompose_partition(PartitionSpec(5, (2, 3)), 7)
     assert [b.target for b in bd.blocks] == [Fraction(2, 7), Fraction(3, 7)]

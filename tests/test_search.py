@@ -43,6 +43,12 @@ def test_budget_bounds_are_validated():
         SearchBudget(3, 10, 0)
 
 
+@pytest.mark.parametrize("bounds", [(3.5, 20), (3, 20.0), (3, 20, 1e6), (True, 20), (3, 20, True)])
+def test_budget_bounds_must_be_integers_not_booleans(bounds):
+    with pytest.raises(ValueError, match="integers"):
+        SearchBudget(*bounds)
+
+
 def test_two_thirds_has_a_two_term_witness():
     result = min_length_search(2, 3, SearchBudget(2, 10))
     assert not result.cap_hit
