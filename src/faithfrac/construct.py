@@ -82,7 +82,8 @@ class Built(NamedTuple):
 
 
 def _check_target(m: int, n: int) -> Fraction:
-    if not isinstance(m, int) or not isinstance(n, int):
+    # bool is an int subclass, as for a term's parts.
+    if type(m) is bool or type(n) is bool or not isinstance(m, int) or not isinstance(n, int):
         raise ValueError("m and n must be integers")
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")

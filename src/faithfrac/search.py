@@ -4,9 +4,14 @@ constructions.
 
 The length searcher proves statements of the form "m/n has no faithful
 decomposition with at most L terms and denominators at most B" by exhausting
-the bounded space, pruning with the necessary conditions (a term over b
-carries at most model.max_numerator(b, n), which is 0 when b divides n) and
-with remaining-sum intervals, all in integer numerators over D = lcm(n, b_i).
+the bounded space in integer numerators over D = lcm(b_i).  A denominator
+set is refused before any numerator is tried when n does not divide D (the
+sum's reduced denominator divides D, and gcd(m, n) = 1) or when m/n lies
+outside the sums its numerators can make: a term over b carries 1 to
+model.max_numerator(b, n), which is 0 when b divides n, so such b never
+enter.  The numerators of the other sets are scanned slot by slot within
+remaining-sum intervals, and the last two are solved together by one
+congruence.
 
 _sweep builds and verifies each 3 <= m < n of a grid with gcd(m, n) == 1.
 prop6_discrepancy_scan (the CLI's hunt) reads it with prop7, and the CLI's
@@ -19,6 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .construct import Built, prop7
@@ -149,21 +155,33 @@ def min_length_search(
     """Look for faithful decompositions of m/n at each length up to the budget.
 
     Denominator sets are enumerated in colex order (shuffle_seed reorders
-    them, as an independence check on the exhaustion verdict); numerators are
-    assigned by backtracking over integer numerators with common denominator
-    D = lcm(n, b_i), pruned by each set's remaining-sum intervals.  Per
-    length, the first faithful candidate stops the scan; exhausted means the
-    whole bounded space was covered without a cap break.  A shuffled length
-    with more sets than the combos left can enter (each costs at least one)
-    cannot be exhausted, so its sets are drawn at random as needed instead
-    of being listed and shuffled.  Drawing by rank needs the divisors of n up
-    to B, which take min(B, isqrt(n)) trial divisions; past the cap the
-    shuffled search reports cap_hit at once, with no combination used.
+    them, as an independence check on the exhaustion verdict).  A set is
+    refused when n does not divide D = lcm(b_i), or when m * D / n lies
+    outside [sum(D / b_i), sum(his_i * D / b_i)], his_i being
+    max_numerator(b_i, n).  Otherwise numerators are assigned by
+    backtracking in ascending order, pruned by the remaining-sum intervals,
+    and the last two slots are solved as a * w + c * w2 = rem: with g =
+    gcd(w, w2), the a that solve it form one progression of step w2 / g,
+    clipped so that 1 <= a <= his and 1 <= c <= his2.  Per length, the first
+    faithful candidate stops the scan; exhausted means the whole bounded
+    space was covered without a cap break.
+
+    combos_used counts one per refused set, one per numerator tried before
+    the last two slots, one per two-slot solve and per pair it yields, plus
+    each verify's combos_examined.  The cap is checked before each set, so
+    every set costs at least one combo.  A shuffled length with more sets
+    than the combos left can enter cannot be exhausted, so its sets are
+    drawn at random as needed instead of being listed and shuffled.  Drawing
+    by rank needs the divisors of n up to B, which take min(B, isqrt(n))
+    trial divisions; past the cap the shuffled search reports cap_hit at
+    once, with no combination used.
     """
+    if type(m) is bool or type(n) is bool or not isinstance(m, int) or not isinstance(n, int):
+        raise ValueError("m and n must be integers")
     if gcd(m, n) != 1 or m < 1 or n < 1:
         raise ValueError("target must be a positive fraction in lowest terms")
     target = Fraction(m, n)
-    B = budget.max_denominator
+    B, cap = budget.max_denominator, budget.combo_cap
 
     if shuffle_seed is not None:
         # The pool's size, and its i-th member, for sets drawn by rank: the
@@ -171,7 +189,7 @@ def min_length_search(
         # n.  Trial division finds those up to B with min(B, isqrt(n)) steps,
         # each paired with n // d; steps past the cap are refused at once.
         bound = min(B, isqrt(n))
-        if bound > budget.combo_cap:
+        if bound > cap:
             lengths = range(1, budget.max_length + 1)
             return SearchResult(target, tuple(LengthOutcome(k, None, False) for k in lengths), True, 0)
         divisors = (e for d in range(1, bound + 1) if not n % d for e in (d, n // d))
@@ -199,26 +217,38 @@ def min_length_search(
 
     def backtrack(idx: int, rem: int, chosen: list[int]) -> Decomposition | None:
         nonlocal combos, cap_hit
-        if combos > budget.combo_cap:
+        if combos > cap:
             cap_hit = True
             return None
-        if idx == len(dens):
-            cand = decomposition(target, list(zip(chosen, dens)))
-            try:
-                report = verify(cand, cap=budget.combo_cap)
-            except CapExceeded:
-                cap_hit = True
-                return None
-            combos += report.combos_examined
-            return cand if report.faithful else None
         w = weights[idx]
         hi = his[idx]
-        if idx == len(dens) - 1:
-            # Final slot: solve a * w = rem directly instead of scanning.
+        if idx == len(dens) - 2:
+            # The last two slots: a * w + c * w2 = rem holds for one residue
+            # of a mod w2 / g, or none when g = gcd(w, w2) does not divide
+            # rem; 1 <= c <= hi2 clips a to [lo, top].
             combos += 1
-            a, r = divmod(rem, w)
-            if r == 0 and 1 <= a <= hi:
-                return backtrack(idx + 1, 0, chosen + [a])
+            w2, hi2 = weights[idx + 1], his[idx + 1]
+            g = gcd(w, w2)
+            if rem % g:
+                return None
+            step = w2 // g
+            lo = max(1, -((hi2 * w2 - rem) // w))
+            top = min(hi, (rem - w2) // w)
+            first = lo + (rem // g * pow(w // g, -1, step) - lo) % step
+            for a in range(first, top + 1, step):
+                combos += 1
+                if combos > cap:
+                    cap_hit = True
+                    return None
+                cand = decomposition(target, list(zip(chosen + [a, (rem - a * w) // w2], dens)))
+                try:
+                    report = verify(cand, cap=cap)
+                except CapExceeded:
+                    cap_hit = True
+                    return None
+                combos += report.combos_examined
+                if report.faithful:
+                    return cand
             return None
         low, high = tail_min[idx], tail_max[idx]
         for a in range(1, hi + 1):
@@ -243,7 +273,7 @@ def min_length_search(
             # A set is entered only while combos <= cap and costs at least
             # one combo, so at most cap - combos + 1 sets are ever entered.
             total = comb(pool_size, length)
-            if total > budget.combo_cap - combos + 1:
+            if total > cap - combos + 1:
                 sets = _sampled_sets(total, length, shuffle_seed, member)
             else:
                 shuffled = list(sets)
@@ -251,17 +281,30 @@ def min_length_search(
                 sets = shuffled
         found: Decomposition | None = None
         for dens in sets:
-            D = lcm(n, *dens)
-            weights = [D // b for b in dens]
-            his = [max_numerator(b, n) for b in dens]
-            tail_min = [sum(weights[j + 1 :]) for j in range(length)]
-            tail_max = [
-                sum(h * w for h, w in zip(his[j + 1 :], weights[j + 1 :]))
-                for j in range(length)
-            ]
-            found = backtrack(0, m * (D // n), [])
-            if found is not None or cap_hit:
+            if combos > cap:
+                cap_hit = True
                 break
+            # A sum over the b_i has a reduced denominator dividing their
+            # lcm D, so n must divide D; then its numerator over D is
+            # m * D / n, which the terms' numerators 1..his[j] must reach.
+            # So every set of one term b = k * n is refused: it carries at
+            # most k - 1 < m * k, and backtrack sees two terms or more.
+            D = lcm(*dens)
+            if not D % n:
+                rem = m * (D // n)
+                weights = [D // b for b in dens]
+                his = [max_numerator(b, n) for b in dens]
+                if sum(weights) <= rem <= sum(map(mul, his, weights)):
+                    tail_min = [sum(weights[j + 1 :]) for j in range(length)]
+                    tail_max = [
+                        sum(h * w for h, w in zip(his[j + 1 :], weights[j + 1 :]))
+                        for j in range(length)
+                    ]
+                    found = backtrack(0, rem, [])
+                    if found is not None or cap_hit:
+                        break
+                    continue
+            combos += 1  # a refused set
         outcomes.append(
             LengthOutcome(length, found, not cap_hit and found is None)
         )

@@ -43,9 +43,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 VERIFIER_TESTS = ("tests/test_verifier.py",)
 SEARCH_TESTS = ("tests/test_search.py",)
+# Without the cost of a refused set or the cap check before each set, a
+# search whose sets are all refused is bounded by its pool alone, and the
+# whole file then runs past TIMEOUT_S; these tests fail at once.
+REFUSAL_TESTS = ("tests/test_search.py", "-k", "pinned or refused_sets")
 MODEL_TESTS = ("tests/test_model.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
 PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
+CONSTRUCT_CHECKS = ("tests/test_construct.py", "-k", "input_checks")
 CLI_TESTS = ("tests/test_cli.py",)
 PACKAGE_TESTS = ("tests/test_package.py",)
 IMPORT_GUARD = ("tests/test_cli.py::test_cold_verify_imports_only_the_cli_the_model_and_the_verifier",)
@@ -170,6 +175,10 @@ MUTANTS = [
      "import json\n", "import dataclasses\nimport json\n", IMPORT_GUARD),
     ("bool accepted as a partition part", "partition.py",
      "any(type(p) is bool or not", "any(not", PARTITION_TESTS),
+    ("bool accepted as a search target", "search.py",
+     "if type(m) is bool or type(n) is bool or not", "if not", SEARCH_TESTS),
+    ("bool accepted as a constructor's target", "construct.py",
+     "if type(m) is bool or type(n) is bool or not", "if not", CONSTRUCT_CHECKS),
     ("budget bounds of any type accepted", "search.py",
      'raise ValueError("budget bounds must be integers")', "pass", SEARCH_TESTS),
     # model.max_numerator, the one statement of the necessary conditions.
@@ -197,13 +206,37 @@ MUTANTS = [
      "if m < 3 or n <= m or gcd(m, n) != 1:", "if m < 3 or n <= m:", CLI_TESTS),
     ("sweep reads a one-shot n iterator once", "search.py",
      "if iter(n_values) is n_values:", "if False:", SEARCH_TESTS),
+    # search.min_length_search's refusal of the sets that cannot reach m/n,
+    # and its solve of the last two numerators.
+    ("n | lcm test dropped", "search.py",
+     "            if not D % n:\n", "            if True:\n", SEARCH_TESTS),
+    ("n | lcm test inverted", "search.py",
+     "            if not D % n:\n", "            if D % n:\n", SEARCH_TESTS),
+    ("lower sum bound off by one", "search.py",
+     "if sum(weights) <= rem <=", "if sum(weights) < rem <=", SEARCH_TESTS),
+    ("upper sum bound off by one", "search.py",
+     "<= rem <= sum(map(mul, his, weights)):", "<= rem < sum(map(mul, his, weights)):", SEARCH_TESTS),
+    ("a refused set costs no combination", "search.py",
+     "            combos += 1  # a refused set\n", "", REFUSAL_TESTS),
+    ("set-level cap check removed", "search.py",
+     "            if combos > cap:\n                cap_hit = True\n                break\n", "", REFUSAL_TESTS),
+    ("cap check before a candidate's verify dropped", "search.py",
+     "                if combos > cap:\n                    cap_hit = True\n                    return None\n",
+     "", SEARCH_TESTS),
+    ("cap check before a slot dropped", "search.py",
+     "        if combos > cap:\n            cap_hit = True\n            return None\n        w = ",
+     "        w = ", SEARCH_TESTS),
+    ("two-slot progression starts one step late", "search.py",
+     "first = lo + (", "first = step + lo + (", SEARCH_TESTS),
+    ("two-slot step taken as w2", "search.py",
+     "step = w2 // g\n", "step = w2\n", SEARCH_TESTS),
     # search.min_length_search under --shuffle, and _sampled_sets' unranking.
     ("sampling condition without its + 1", "search.py",
-     "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap - combos:", SEARCH_TESTS),
+     "if total > cap - combos + 1:", "if total > cap - combos:", SEARCH_TESTS),
     ("sampling condition with >=", "search.py",
-     "if total > budget.combo_cap - combos + 1:", "if total >= budget.combo_cap - combos + 1:", SEARCH_TESTS),
+     "if total > cap - combos + 1:", "if total >= cap - combos + 1:", SEARCH_TESTS),
     ("sampling condition without - combos", "search.py",
-     "if total > budget.combo_cap - combos + 1:", "if total > budget.combo_cap + 1:", SEARCH_TESTS),
+     "if total > cap - combos + 1:", "if total > cap + 1:", SEARCH_TESTS),
     ("member steps over a skipped divisor too early", "search.py",
      "if s > b:", "if s > b + 1:", SEARCH_TESTS),
     ("pool size off by one", "search.py",
@@ -213,7 +246,7 @@ MUTANTS = [
     ("shuffle pool keeps the divisors of n above its square root", "search.py",
      "for e in (d, n // d))", "for e in (d,))", SEARCH_TESTS),
     ("shuffled search past the cap not refused", "search.py",
-     "        if bound > budget.combo_cap:\n", "        if False:\n", CLI_TESTS),
+     "        if bound > cap:\n", "        if False:\n", CLI_TESTS),
     # cli._wire, the one wire rule.
     ("wire form tests int before bool", "cli.py",
      "if obj is None or isinstance(obj, (bool, str)):", "if obj is None or isinstance(obj, str):", CLI_TESTS),

@@ -687,7 +687,7 @@ STRATEGIES = [
     ["4", "13", "--strategy", "theorem4"],
 ]
 TEXT, JSON = ["--format", "text"], ["--format", "json"]
-PINNED_DIGEST = "2736cfe9c04ab827a05bff2c9a0fad2a1662083929b7d7057b8ad81b91f78ac6"
+PINNED_DIGEST = "dca888aafdb13bed65937fcfef379ccc3944bd8a8c736160f8e1bb20f66833db"
 # (argv, stdin) for every subcommand and --format value, the usage exits
 # (2) and the budget exits (3).  `--input` paths are relative to a fresh
 # directory that holds d.json.

@@ -325,6 +325,9 @@ def test_inputs_must_be_reduced_and_positive():
         (from_perfect, (6.0,), "need an integer >= 2"),
         (prop7, (2, 5), "prop7 needs m >= 3"),
         (prop7, (5, 3), "prop7 needs a proper fraction m/n < 1"),
+        (general_coprime, (True, 3), "m and n must be integers"),
+        (all_units_but_one, (True, 2), "m and n must be integers"),
+        (two_term, (2, True), "m and n must be integers"),
     ],
 )
 def test_constructor_input_checks(build, args, message):

@@ -1,8 +1,10 @@
 """Bounded exhaustive search and the three-term condition scanner."""
 
+import time
 import tracemalloc
 from fractions import Fraction
-from math import comb, gcd
+from itertools import combinations, product
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -12,12 +14,15 @@ from faithfrac import (
     Prop6Instance,
     SearchBudget,
     construct,
+    decomposition,
+    max_numerator,
     min_length_search,
     prop6_discrepancy_scan,
     prop7,
     search,
     theorem1,
     verify,
+    verify_naive,
 )
 
 
@@ -47,6 +52,12 @@ def test_budget_bounds_are_validated():
 def test_budget_bounds_must_be_integers_not_booleans(bounds):
     with pytest.raises(ValueError, match="integers"):
         SearchBudget(*bounds)
+
+
+@pytest.mark.parametrize("m, n", [(True, 3), (7.0, 3), (7, 3.0), (2, True), (Fraction(7), 3)])
+def test_target_must_be_integers_not_booleans(m, n):
+    with pytest.raises(ValueError, match="m and n must be integers"):
+        min_length_search(m, n, SearchBudget(2, 10))
 
 
 def test_two_thirds_has_a_two_term_witness():
@@ -196,14 +207,22 @@ def outcome_pairs(result):
 @pytest.mark.parametrize(
     "m, n, budget, combos, cap_hit, outcomes",
     [
-        (7, 3, SearchBudget(3, 30), 115_047, False, [(True, None)] * 3),
-        (5, 2, SearchBudget(3, 40), 189_781, False, [(True, None)] * 3),
-        (11, 5, SearchBudget(3, 30), 243_875, False, [(True, None)] * 3),
-        (3, 4, SearchBudget(3, 30), 785, False,
+        # Every set of 7/3 and 11/5 up to length 3 is refused, at one combo each.
+        (7, 3, SearchBudget(3, 30), 3_682, False, [(True, None)] * 3),
+        (5, 2, SearchBudget(3, 40), 9_177, False, [(True, None)] * 3),
+        (11, 5, SearchBudget(3, 30), 3_682, False, [(True, None)] * 3),
+        (3, 4, SearchBudget(3, 30), 228, False,
          [(True, None), (False, [(2, 3), (1, 12)]), (False, [(1, 3), (3, 9), (1, 12)])]),
-        (7, 3, SearchBudget(4, 20, 3000), 3_005, True,
-         [(True, None), (True, None), (False, None), (False, None)]),
+        (7, 3, SearchBudget(4, 20, 3000), 3_001, True,
+         [(True, None), (True, None), (True, None), (False, None)]),
+        # The cap is checked inside a set too: before a candidate's verify,
+        # here 2/3 + 1/12 at length 2, and before each slot of a scan.
+        (3, 4, SearchBudget(3, 30, 55), 57, True, [(True, None), (False, None), (False, None)]),
+        (3, 4, SearchBudget(3, 30, 65), 66, True,
+         [(True, None), (False, [(2, 3), (1, 12)]), (False, None)]),
     ],
+    # Ids without the counts, so that re-pinning a count renames no test.
+    ids=["7/3", "5/2", "11/5", "3/4", "7/3-capped", "3/4-capped-at-verify", "3/4-capped-in-scan"],
 )
 def test_search_results_are_pinned(m, n, budget, combos, cap_hit, outcomes):
     result = min_length_search(m, n, budget)
@@ -212,6 +231,60 @@ def test_search_results_are_pinned(m, n, budget, combos, cap_hit, outcomes):
     assert result.cap_hit == cap_hit
     assert [o.length for o in result.outcomes] == list(range(1, budget.max_length + 1))
     assert outcome_pairs(result) == outcomes
+
+
+def reference_outcomes(m, n, budget):
+    """(exhausted, witness terms) per length by plain enumeration: every set
+    of the pool in colex order, every numerator tuple with 1 <= a_i <=
+    max_numerator(b_i, n) in lexicographic order, and the first tuple that
+    sums to m/n and that verify_naive finds faithful is the witness.
+    """
+    pool = [b for b in range(2, budget.max_denominator + 1) if max_numerator(b, n)]
+    outcomes = []
+    for length in range(1, budget.max_length + 1):
+        witness = None
+        for dens in sorted(combinations(pool, length), key=lambda s: s[::-1]):
+            D = lcm(n, *dens)
+            for nums in product(*(range(1, max_numerator(b, n) + 1) for b in dens)):
+                if sum(a * (D // b) for a, b in zip(nums, dens)) * n != m * D:
+                    continue
+                d = decomposition(Fraction(m, n), list(zip(nums, dens)))
+                if verify_naive(d).faithful:
+                    witness = list(zip(nums, dens))
+                    break
+            if witness is not None:
+                break
+        outcomes.append((witness is None, witness))
+    return outcomes
+
+
+@pytest.mark.parametrize("budget", [SearchBudget(3, 10), SearchBudget(2, 14)])
+def test_search_matches_a_plain_enumeration(budget):
+    targets = [(m, n) for n in range(1, 7) for m in range(1, 3 * n) if gcd(m, n) == 1]
+    assert len(targets) == 35
+    for m, n in targets:
+        result = min_length_search(m, n, budget)
+        assert not result.cap_hit, (m, n)
+        assert outcome_pairs(result) == reference_outcomes(m, n, budget), (m, n)
+
+
+def test_six_twenty_fifths_has_a_three_term_witness_within_the_default_cap():
+    # The sets that cannot reach 6/25 are refused at one combo each.
+    result = min_length_search(6, 25, SearchBudget(3, 150))
+    assert not result.cap_hit
+    assert outcome_pairs(result) == [(True, None), (True, None), (False, [(1, 6), (1, 15), (1, 150)])]
+
+
+@pytest.mark.parametrize("B", [2000, 10**8])
+def test_a_run_of_refused_sets_still_trips_the_cap(B):
+    # No b <= B is a multiple of the prime n, so n divides no set's lcm:
+    # every set is refused at one combo, and the cap is checked before each.
+    t0 = time.perf_counter()
+    result = min_length_search(2, 1000000007, SearchBudget(1, B, 1000))
+    assert time.perf_counter() - t0 < 0.5
+    assert result.cap_hit
+    assert result.combos_used == 1001
+    assert result.outcomes == (LengthOutcome(1, None, False),)
 
 
 def test_length_law_holds_on_a_grid():
