@@ -4,6 +4,10 @@ Each builder returns the decomposition together with a ConstructionTrace
 recording the primes it consumed, the Bezout witness behind its final two
 terms, and how far it had to walk an arithmetic progression to keep every
 denominator coprime to the forbidden set.
+
+The builders compute in integers: a remainder is a numerator z over its
+modulus n times the primes taken, and the one Fraction each builds is its
+decomposition's target.
 """
 
 from __future__ import annotations
@@ -112,11 +116,11 @@ def two_term(m: int, n: int) -> Built:
     The numerator must be at least 2: a unit fraction would force x = 0.
     """
     value = _check_target(m, n)
-    if value >= 1:
+    if m >= n:
         raise ValueError("two_term needs a proper fraction m/n < 1")
     if m == 1:
         raise ValueError("a unit fraction has no two-term split (x would be 0)")
-    tail, pair, _ = _progression_tail(value, n, 1, frozenset(), 0)
+    tail, pair, _ = _progression_tail(m, n, (), 0)
     return Built(_settle(decomposition(value, tail)), ConstructionTrace(bezout=pair))
 
 
@@ -138,28 +142,30 @@ def from_perfect(p: int) -> Built:
 
 
 def _greedy_head(
-    value: Fraction,
+    m: int,
     n: int,
     omega: frozenset[int],
     policy: str,
     seed: int,
     max_terms: int,
     candidate: int = 2,
-) -> tuple[list[tuple[int, int]], list[int], Fraction]:
-    """Pick admissible primes from `candidate` up until the remainder falls
-    below 1.
+) -> tuple[list[tuple[int, int]], list[int], int, int]:
+    """Pick admissible primes from `candidate` up until the remainder of m/n
+    falls below 1.
 
     Unit policy contributes 1/p per prime; max policy contributes (p-1)/p.
-    The first `seed` admissible primes are skipped, which is what makes
-    distinct seeds land on distinct decompositions.  Raises
-    TermBudgetExceeded before taking a term past max_terms.
+    The remainder is held as z over den = n times the primes taken, not
+    reduced, so a term a/p steps it to (z*p - a*den)/(den*p).  The first
+    `seed` admissible primes are skipped, which is what makes distinct seeds
+    land on distinct decompositions.  Returns the terms, their primes, z and
+    den.  Raises TermBudgetExceeded before taking a term past max_terms.
     """
     forbidden = (n, *omega)
-    rem = value
+    z, den = m, n
     head: list[tuple[int, int]] = []
     primes: list[int] = []
     skipped = 0
-    while rem >= 1:
+    while z >= den:
         if len(head) >= max_terms:
             raise TermBudgetExceeded(f"head would need more than {max_terms} prime terms")
         p = next_prime_avoiding(candidate, forbidden)
@@ -170,28 +176,22 @@ def _greedy_head(
         a = 1 if policy == "unit" else p - 1
         head.append((a, p))
         primes.append(p)
-        rem -= Fraction(a, p)
-    return head, primes, rem
+        z, den = z * p - a * den, den * p
+    if den != n * prod(primes):
+        raise RuntimeError("remainder does not live over n times the prime product")
+    return head, primes, z, den
 
 
 def _progression_tail(
-    rem: Fraction,
-    n: int,
-    primes_product: int,
-    omega: frozenset[int],
-    a0_start: int,
+    z: int, nb: int, omega: Iterable[int], a0_start: int
 ) -> tuple[list[tuple[int, int]], BezoutPair, int]:
-    """Turn the remainder z/(n*prod) into x/b + 1/(n*prod*b).
+    """Turn the remainder z/nb, with nb = n*prod, into x/b + 1/(nb*b).
 
-    b walks the progression y0 + a0*(n*prod) until it is coprime to omega;
-    it is automatically coprime to n and the primes already used.  Returns
-    the two closing terms, the Bezout pair (x0, y0) and the steps a0 taken.
+    b walks the progression y0 + a0*nb until it is coprime to omega, which
+    one gcd against the product of omega tests; it is automatically coprime
+    to nb, so to n and the primes already used.  Returns the two closing
+    terms, the Bezout pair (x0, y0) and the steps a0 taken.
     """
-    nb = n * primes_product
-    scaled = rem * nb
-    if scaled.denominator != 1:
-        raise RuntimeError("remainder does not live over n times the prime product")
-    z = scaled.numerator
     if z < 1 or gcd(z, nb) != 1:
         raise RuntimeError("remainder numerator shares a factor with its modulus")
     y0 = mod_inverse(z, nb)
@@ -200,10 +200,8 @@ def _progression_tail(
         y0 += nb
         x0 += z
     a0 = a0_start
-    while True:
-        b_last = y0 + a0 * nb
-        if all(gcd(b_last, w) == 1 for w in omega):
-            break
+    avoid = prod(omega)
+    while gcd(b_last := y0 + a0 * nb, avoid) != 1:
         a0 += 1
     x = x0 + a0 * z
     if not 1 <= x < b_last:
@@ -244,11 +242,9 @@ def general_coprime(
     omega_set = _normalized_omega(omega)
     if max_terms is None:
         max_terms = UNIT_HEAD_MAX_TERMS
-    head, primes, rem = _greedy_head(
-        value, n, omega_set, numerator_policy, seed, max_terms
-    )
+    head, primes, z, den = _greedy_head(m, n, omega_set, numerator_policy, seed, max_terms)
     a0_start = seed if not primes else 0
-    tail, pair, a0 = _progression_tail(rem, n, prod(primes), omega_set, a0_start)
+    tail, pair, a0 = _progression_tail(z, den, omega_set, a0_start)
     trace = ConstructionTrace(
         primes_used=tuple(primes),
         bezout=pair,
@@ -286,12 +282,12 @@ def theorem1(m: int, n: int) -> Built:
     if t < 2:
         raise ValueError("theorem1 needs m/n >= 2")
     candidate = t * n // ((t + 1) * n - m) + 1  # first integer above the bound
-    head, primes, rem = _greedy_head(
-        value, n, frozenset(), "max", 0, UNIT_HEAD_MAX_TERMS, candidate
+    head, primes, z, den = _greedy_head(
+        m, n, frozenset(), "max", 0, UNIT_HEAD_MAX_TERMS, candidate
     )
     if len(primes) != t:
         raise RuntimeError("prime bound failed to control the remainder")
-    tail, pair, _ = _progression_tail(rem, n, prod(primes), frozenset(), 0)
+    tail, pair, _ = _progression_tail(z, den, (), 0)
     trace = ConstructionTrace(primes_used=tuple(primes), bezout=pair)
     return Built(_settle_coprime(value, head + tail), trace)
 
@@ -339,7 +335,7 @@ def prop7(m: int, n: int) -> Built:
     value = _check_target(m, n)
     if m < 3:
         raise ValueError("prop7 needs m >= 3")
-    if value >= 1:
+    if m >= n:
         raise ValueError("prop7 needs a proper fraction m/n < 1")
     r = (-2 * n) % m
     k = (2 * n + r) // m

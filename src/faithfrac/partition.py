@@ -74,11 +74,9 @@ def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
     omega: set[int] = {n}
     blocks: list[Decomposition] = []
     for part in sorted(spec.parts):
-        reduced = Fraction(part, n)
-        policy = "max" if reduced >= 2 else "unit"
-        built = general_coprime(
-            reduced.numerator, reduced.denominator, policy, omega
-        )
+        g = gcd(part, n)
+        policy = "max" if part >= 2 * n else "unit"
+        built = general_coprime(part // g, n // g, policy, omega)
         blocks.append(built.decomposition)
         omega.update(built.decomposition.denominators)
     combined = Decomposition(

@@ -93,13 +93,15 @@ class SearchResult(_Record):
 
 
 def _colex_sets(pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of the pool in colex order: the largest element grows last.
+    """Subsets of the pool of a size >= 1 in colex order: the largest element
+    grows last.
 
     The pool is read one element at a time, when a set first needs it, so a
-    consumer that stops early never reads (or stores) the rest.
+    consumer that stops early never reads (or stores) the rest.  Sets of one
+    element are the pool's own, so size 1 stores none of it.
     """
-    if size == 0:
-        yield ()
+    if size == 1:
+        yield from ((b,) for b in pool)
         return
     seen: list[int] = []
     for b in pool:

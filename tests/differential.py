@@ -19,9 +19,11 @@ report's repr, the sorted set, or the exception's type and text
 Both sides then make the library calls of api_corpus and write one line
 per call, the result's repr (a set sorted) or the exception's type and
 text: validate on decompositions well formed or not, every constructor
-(general_coprime under both policies, with omega and seed) over small
-targets valid or not, min_length_search with and without a shuffle seed,
-and check_partition_theorem on every partition of m <= 6 over n <= 20.
+(general_coprime under both policies, with omegas of up to five members
+and seeds up to 3) over small targets valid or not, all_units_but_one at
+its default term budget and at budgets its heads run past,
+min_length_search with and without a shuffle seed, and
+check_partition_theorem on every partition of m <= 6 over n <= 20.
 
 Both sides then run the argv lists of cli_corpus through faithfrac.cli.main,
 with stdin, stdout and stderr captured, and write one line per call: the
@@ -128,7 +130,15 @@ def api_corpus(cases) -> list[tuple[str, list]]:
     # Under "max" the head stays short up to larger targets.
     calls += [("general_coprime", [m, n, "max", omega, seed]) for n in range(1, 25)
               for m in range(2 * n + 2, 5 * n) for omega, seed in (([], 0), ([3], 1))]
+    calls += [("general_coprime", [m, n, policy, omega, seed]) for n in range(1, 13)
+              for m in range(1, 2 * n + 2) for policy in ("unit", "max")
+              for omega in ([4, 9, 25], [1, 6, 10, 15], [3, 7, 11, 13, 17]) for seed in (1, 2, 3)]
     calls += [("general_coprime", [3, 2, "other", [], 0])]
+    # At the default budget, and at budgets of 1 and 3 terms that the larger
+    # targets' heads run past.
+    calls += [("all_units_but_one", [m, n, omega, seed, *budget]) for n in range(1, 10)
+              for m in range(1, 2 * n + 2) for omega, seed in (([], 0), ([2, 9], 1), ([6, 10, 15], 3))
+              for budget in ([], [1], [3])]
     calls += [("prop7", [m, n]) for m in range(1, 9) for n in range(-1, 61)]
     calls += [("theorem4", [n]) for n in range(-2, 301)]
     calls += [("from_perfect", [p]) for p in (*range(-1, 500), 8128, 33550336, 33550337)]

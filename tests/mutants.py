@@ -50,6 +50,7 @@ REFUSAL_TESTS = ("tests/test_search.py", "-k", "pinned or refused_sets")
 MODEL_TESTS = ("tests/test_model.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
 PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
+CONSTRUCT_TESTS = ("tests/test_construct.py",)
 CONSTRUCT_CHECKS = ("tests/test_construct.py", "-k", "input_checks")
 CLI_TESTS = ("tests/test_cli.py",)
 PACKAGE_TESTS = ("tests/test_package.py",)
@@ -130,6 +131,13 @@ MUTANTS = [
     # partition.t_set, the subset sums S is compared against.
     ("subset sums of single parts only", "partition.py",
      "sums |= {s + p for s in sums}", "sums |= {p}", PARTITION_TESTS),
+    # construct._greedy_head and _progression_tail: the remainder z over den.
+    ("head step without a * den", "construct.py",
+     "z, den = z * p - a * den, den * p", "z, den = z * p - den, den * p", CONSTRUCT_TESTS),
+    ("head runs while z > den", "construct.py",
+     "    while z >= den:\n", "    while z > den:\n", CONSTRUCT_TESTS),
+    ("progression gcd against the first omega member only", "construct.py",
+     "avoid = prod(omega)", "avoid = next(iter(omega), 1)", CONSTRUCT_TESTS),
     # construct.general_coprime's head budget.
     ("max head left without a budget", "construct.py",
      "    if max_terms is None:\n", "    if max_terms is None and numerator_policy == \"unit\":\n",
@@ -188,6 +196,8 @@ MUTANTS = [
      "return (b - 1) // gcd(b, n)", "return b - 1", SEARCH_TESTS),
     ("search pool keeps the divisors of n", "search.py",
      "range(2, B + 1) if max_numerator(b, n))", "range(2, B + 1))", SEARCH_TESTS),
+    ("length-1 sets listed from the whole pool", "search.py",
+     "yield from ((b,) for b in pool)", "yield from ((b,) for b in list(pool))", SEARCH_TESTS),
     # model.coprime_shape: pairwise coprime moduli as product == lcm.
     ("coprime shape without the lcm check", "model.py",
      "return last.den == n * prod(dens) == lcm(n, *dens)", "return last.den == n * prod(dens)", MODEL_TESTS),

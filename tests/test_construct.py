@@ -2,7 +2,7 @@
 
 import hashlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,6 +274,43 @@ def test_all_units_shape_and_omega(args):
         assert gcd(b, n) == 1
         assert all(gcd(b, w) == 1 for w in omega)
     assert verify(d).faithful
+
+
+def _least_coprime_step(y0, nb, omega, start):
+    # The per-member rule: the least a0 >= start for which y0 + a0 * nb
+    # shares no factor with any member of omega.
+    a0 = start
+    while any(gcd(y0 + a0 * nb, w) != 1 for w in omega):
+        a0 += 1
+    return a0
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [[], [1], [2], [1, 3, 5], [4, 9, 25], [6, 10, 15], [1, 4, 6, 9, 10, 15]],
+)
+def test_progression_steps_are_the_least_coprime_step(omega):
+    for n in range(1, 13):
+        for m in range(1, 2 * n):
+            if gcd(m, n) != 1:
+                continue
+            for policy in ("unit", "max"):
+                for seed in range(4):
+                    built = general_coprime(m, n, policy, omega, seed)
+                    primes, (x0, y0) = built.trace.primes_used, built.trace.bezout
+                    a0 = built.trace.progression_steps
+                    nb = n * prod(primes)
+                    assert a0 == _least_coprime_step(y0, nb, omega, 0 if primes else seed)
+                    head = built.decomposition.terms[: len(primes)]
+                    rem = Fraction(m, n) - sum(Fraction(t.num, t.den) for t in head)
+                    scaled = rem * nb
+                    assert scaled.denominator == 1
+                    z = scaled.numerator
+                    assert y0 * z - x0 * nb == 1 and x0 >= 1
+                    b = y0 + a0 * nb
+                    assert pairs_of(built.decomposition)[len(primes):] == [
+                        (x0 + a0 * z, b), (1, nb * b)
+                    ]
 
 
 # ---- policy variants ----
