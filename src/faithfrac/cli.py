@@ -261,7 +261,7 @@ def cmd_search(args: argparse.Namespace) -> Result:
     from .search import SearchBudget, min_length_search
 
     budget = SearchBudget(args.max_length, args.max_den, args.cap)
-    result = min_length_search(args.m, args.n, budget, shuffle_seed=args.shuffle)
+    result = min_length_search(args.m, args.n, budget)
     out = {
         "target": result.target,
         "outcomes": [vars(o) for o in result.outcomes],
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-length", type=int, required=True)
     p_search.add_argument("--max-den", type=int, required=True)
     p_search.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_search.add_argument("--shuffle", type=int, help="re-enumerate denominator sets in seeded random order")
     p_search.add_argument("--format", choices=["json", "text"], default="json")
     p_search.set_defaults(func=cmd_search)
 

@@ -97,10 +97,10 @@ def _check_target(m: int, n: int) -> Fraction:
 
 
 def _normalized_omega(omega: Iterable[int]) -> frozenset[int]:
-    values = frozenset(omega)
-    if any((not isinstance(w, int)) or w < 1 for w in values):
+    values = tuple(omega)
+    if any(type(w) is bool or not isinstance(w, int) or w < 1 for w in values):
         raise ValueError("omega must contain positive integers")
-    return values
+    return frozenset(values)
 
 
 def _settle(d: Decomposition) -> Decomposition:
@@ -236,12 +236,14 @@ def general_coprime(
     """
     if numerator_policy not in ("unit", "max"):
         raise ValueError("numerator_policy must be 'unit' or 'max'")
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is bool or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     value = _check_target(m, n)
     omega_set = _normalized_omega(omega)
     if max_terms is None:
         max_terms = UNIT_HEAD_MAX_TERMS
+    elif type(max_terms) is bool or not isinstance(max_terms, int) or max_terms < 0:
+        raise ValueError("max_terms must be a nonnegative integer")
     head, primes, z, den = _greedy_head(m, n, omega_set, numerator_policy, seed, max_terms)
     a0_start = seed if not primes else 0
     tail, pair, a0 = _progression_tail(z, den, omega_set, a0_start)
@@ -300,7 +302,7 @@ def prop6_condition(m: int, n: int, y2: int, y: int, x: int) -> bool:
     the verdict is whether n avoids every multiple m'*y2 with 0 < m' < m.
     """
     for name, v in (("m", m), ("n", n), ("y2", y2), ("y", y), ("x", x)):
-        if not isinstance(v, int) or v < 1:
+        if type(v) is bool or not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer")
     if gcd(y, y2) != 1:
         raise ValueError("y and y2 must be coprime")

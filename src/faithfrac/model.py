@@ -169,7 +169,7 @@ def validate(d: Decomposition) -> list[str]:
 
 def scale(d: Decomposition, c: int) -> Decomposition:
     """Multiply every denominator by c, mapping m/n onto m/(c*n)."""
-    if c < 1:
+    if type(c) is bool or not isinstance(c, int) or c < 1:
         raise ValueError("scaling factor must be a positive integer")
     return Decomposition(d.target / c, tuple(Term(t.num, t.den * c) for t in d.terms))
 

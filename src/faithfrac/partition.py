@@ -67,7 +67,7 @@ def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
     switch to the max numerator policy, whose near-one terms keep the block
     short; smaller targets use unit fractions.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if gcd(spec.m, n) != 1:
         raise ValueError(f"{spec.m} and {n} must be coprime")
@@ -98,7 +98,7 @@ def t_set(parts: tuple[int, ...], n: int) -> frozenset[Fraction]:
     The integer subset sums of the parts are built one part at a time, a set
     of at most sum(parts) + 1 values, and divided by n once each.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     sums = {0}
     for p in parts:

@@ -21,9 +21,8 @@ constructor call and its verify call are written once.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator
 
@@ -111,72 +110,24 @@ def _colex_sets(pool: Iterable[int], size: int) -> Iterator[tuple[int, ...]]:
         seen.append(b)
 
 
-def _colex_unrank(rank: int, size: int) -> tuple[int, ...]:
-    """The size-subset of 0, 1, 2, ... that _colex_sets yields at this rank.
-
-    Colex rank is sum(comb(c_i, i)) over the members c_1 < ... < c_size, so
-    each member, largest first, is the largest c with comb(c, i) <= rank.
-    """
-    members: list[int] = []
-    for i in range(size, 0, -1):
-        lo, hi = i - 1, rank + i
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if comb(mid, i) <= rank:
-                lo = mid
-            else:
-                hi = mid - 1
-        members.append(lo)
-        rank -= comb(lo, i)
-    return tuple(reversed(members))
-
-
-def _sampled_sets(
-    total: int, size: int, seed: int, member: Callable[[int], int]
-) -> Iterator[tuple[int, ...]]:
-    """The total colex ranks drawn at random without replacement, read lazily.
-
-    Stopped after k sets, this is the first k of a uniform shuffle of all of
-    them, but it stores only the k ranks drawn.
-    """
-    rng = random.Random(seed)
-    drawn: set[int] = set()
-    while len(drawn) < total:
-        rank = rng.randrange(total)
-        if rank not in drawn:
-            drawn.add(rank)
-            yield tuple(map(member, _colex_unrank(rank, size)))
-
-
-def min_length_search(
-    m: int,
-    n: int,
-    budget: SearchBudget,
-    shuffle_seed: int | None = None,
-) -> SearchResult:
+def min_length_search(m: int, n: int, budget: SearchBudget) -> SearchResult:
     """Look for faithful decompositions of m/n at each length up to the budget.
 
-    Denominator sets are enumerated in colex order (shuffle_seed reorders
-    them, as an independence check on the exhaustion verdict).  A set is
-    refused when n does not divide D = lcm(b_i), or when m * D / n lies
-    outside [sum(D / b_i), sum(his_i * D / b_i)], his_i being
-    max_numerator(b_i, n).  Otherwise numerators are assigned by
-    backtracking in ascending order, pruned by the remaining-sum intervals,
-    and the last two slots are solved as a * w + c * w2 = rem: with g =
-    gcd(w, w2), the a that solve it form one progression of step w2 / g,
-    clipped so that 1 <= a <= his and 1 <= c <= his2.  Per length, the first
-    faithful candidate stops the scan; exhausted means the whole bounded
-    space was covered without a cap break.
+    Denominator sets are enumerated in colex order.  A set is refused when n
+    does not divide D = lcm(b_i), or when m * D / n lies outside
+    [sum(D / b_i), sum(his_i * D / b_i)], his_i being max_numerator(b_i, n).
+    Otherwise numerators are assigned by backtracking in ascending order,
+    pruned by the remaining-sum intervals, and the last two slots are solved
+    as a * w + c * w2 = rem: with g = gcd(w, w2), the a that solve it form
+    one progression of step w2 / g, clipped so that 1 <= a <= his and
+    1 <= c <= his2.  Per length, the first faithful candidate stops the
+    scan; exhausted means the whole bounded space was covered without a cap
+    break.
 
     combos_used counts one per refused set, one per numerator tried before
     the last two slots, one per two-slot solve and per pair it yields, plus
     each verify's combos_examined.  The cap is checked before each set, so
-    every set costs at least one combo.  A shuffled length with more sets
-    than the combos left can enter cannot be exhausted, so its sets are
-    drawn at random as needed instead of being listed and shuffled.  Drawing
-    by rank needs the divisors of n up to B, which take min(B, isqrt(n))
-    trial divisions; past the cap the shuffled search reports cap_hit at
-    once, with no combination used.
+    every set costs at least one combo.
     """
     if type(m) is bool or type(n) is bool or not isinstance(m, int) or not isinstance(n, int):
         raise ValueError("m and n must be integers")
@@ -184,27 +135,6 @@ def min_length_search(
         raise ValueError("target must be a positive fraction in lowest terms")
     target = Fraction(m, n)
     B, cap = budget.max_denominator, budget.combo_cap
-
-    if shuffle_seed is not None:
-        # The pool's size, and its i-th member, for sets drawn by rank: the
-        # pool is 2..B less the b that can carry no numerator, the divisors of
-        # n.  Trial division finds those up to B with min(B, isqrt(n)) steps,
-        # each paired with n // d; steps past the cap are refused at once.
-        bound = min(B, isqrt(n))
-        if bound > cap:
-            lengths = range(1, budget.max_length + 1)
-            return SearchResult(target, tuple(LengthOutcome(k, None, False) for k in lengths), True, 0)
-        divisors = (e for d in range(1, bound + 1) if not n % d for e in (d, n // d))
-        skipped = sorted({e for e in divisors if 2 <= e <= B})
-        pool_size = B - 1 - len(skipped)
-
-        def member(i: int) -> int:
-            b = i + 2
-            for s in skipped:
-                if s > b:
-                    break
-                b += 1
-            return b
 
     combos = 0
     cap_hit = False
@@ -270,19 +200,8 @@ def min_length_search(
             outcomes.append(LengthOutcome(length, None, False))
             continue
         pool = (b for b in range(2, B + 1) if max_numerator(b, n))
-        sets: Iterable[tuple[int, ...]] = _colex_sets(pool, length)
-        if shuffle_seed is not None:
-            # A set is entered only while combos <= cap and costs at least
-            # one combo, so at most cap - combos + 1 sets are ever entered.
-            total = comb(pool_size, length)
-            if total > cap - combos + 1:
-                sets = _sampled_sets(total, length, shuffle_seed, member)
-            else:
-                shuffled = list(sets)
-                random.Random(shuffle_seed).shuffle(shuffled)
-                sets = shuffled
         found: Decomposition | None = None
-        for dens in sets:
+        for dens in _colex_sets(pool, length):
             if combos > cap:
                 cap_hit = True
                 break

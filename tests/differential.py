@@ -22,7 +22,7 @@ text: validate on decompositions well formed or not, every constructor
 (general_coprime under both policies, with omegas of up to five members
 and seeds up to 3) over small targets valid or not, all_units_but_one at
 its default term budget and at budgets its heads run past,
-min_length_search with and without a shuffle seed, and
+min_length_search over small targets and caps, and
 check_partition_theorem on every partition of m <= 6 over n <= 20.
 
 Both sides then run the argv lists of cli_corpus through faithfrac.cli.main,
@@ -145,10 +145,9 @@ def api_corpus(cases) -> list[tuple[str, list]]:
     searches = [(7, 3, 3, 30), (2, 3, 3, 12), (5, 6, 2, 30), (4, 9, 3, 36), (11, 5, 3, 24),
                 (7, 4, 3, 40), (3, 1, 2, 20), (5, 9, 2, 18), (7, 3, 4, 20), (11, 5, 4, 16),
                 (6, 25, 3, 50), (8, 9, 3, 30)]
-    calls += [("min_length_search", [m, n, length, den, cap, seed])
-              for m, n, length, den in searches for cap in (10_000_000, 2_000)
-              for seed in (None, 1, 2)]
-    calls += [("min_length_search", [7, 3, 0, 30, 100, None])]
+    calls += [("min_length_search", [m, n, length, den, cap])
+              for m, n, length, den in searches for cap in (10_000_000, 2_000)]
+    calls += [("min_length_search", [7, 3, 0, 30, 100])]
     calls += [("check_partition_theorem", [m, n, parts, cap])
               for m in range(1, 7) for parts in partitions(m) for n in range(1, 21)
               if gcd(m, n) == 1 and m < 5 * n for cap in (10_000_000, 50)]
@@ -189,7 +188,6 @@ def cli_corpus() -> list[tuple[list[str], str]]:
         ["decompose", "5", "7", "--strategy", "partition", "--parts", "2,3"],
         ["partition-check", "6", "11", "--parts", "1,2,3"],
         ["search", "7", "3", "--max-length", "3", "--max-den", "30"],
-        ["search", "2", "3", "--max-length", "3", "--max-den", "12", "--shuffle", "1", "--format", "text"],
     ]
     out = [(argv, "") for argv in calls]
     out += [(["verify"], FOUR_NINTHS), (["verify", "--format", "text"], FIVE_SIXTHS),
@@ -224,8 +222,8 @@ def worker(src: str, cases: str) -> None:
     api = {
         "validate": lambda m, n, pairs: faithfrac.validate(
             decomposition(Fraction(m, n), [tuple(p) for p in pairs])),
-        "min_length_search": lambda m, n, length, den, cap, seed: faithfrac.min_length_search(
-            m, n, faithfrac.SearchBudget(length, den, cap), shuffle_seed=seed),
+        "min_length_search": lambda m, n, length, den, cap: faithfrac.min_length_search(
+            m, n, faithfrac.SearchBudget(length, den, cap)),
         "check_partition_theorem": partition_check,
     }
 

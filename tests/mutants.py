@@ -189,6 +189,25 @@ MUTANTS = [
      "if type(m) is bool or type(n) is bool or not", "if not", CONSTRUCT_CHECKS),
     ("budget bounds of any type accepted", "search.py",
      'raise ValueError("budget bounds must be integers")', "pass", SEARCH_TESTS),
+    ("bool accepted as a seed", "construct.py",
+     "if type(seed) is bool or not", "if not", CONSTRUCT_CHECKS),
+    ("bool accepted in omega", "construct.py",
+     "any(type(w) is bool or not", "any(not", CONSTRUCT_CHECKS),
+    ("omega hashed before its members are checked", "construct.py",
+     "values = tuple(omega)", "values = frozenset(omega)", CONSTRUCT_CHECKS),
+    ("head budget of any type accepted", "construct.py",
+     'raise ValueError("max_terms must be a nonnegative integer")', "pass", CONSTRUCT_CHECKS),
+    ("head budget of -1 accepted", "construct.py",
+     "or max_terms < 0:", "or max_terms < -1:", CONSTRUCT_CHECKS),
+    ("bool accepted by prop6_condition", "construct.py",
+     "if type(v) is bool or not", "if not", PROP6_TESTS),
+    ("bool accepted as a partition's n", "partition.py",
+     'unit fractions.\n    """\n    if type(n) is bool or not', 'unit fractions.\n    """\n    if not',
+     PARTITION_TESTS),
+    ("bool accepted as the n of t_set", "partition.py",
+     'once each.\n    """\n    if type(n) is bool or not', 'once each.\n    """\n    if not', PARTITION_TESTS),
+    ("bool accepted as a scaling factor", "model.py",
+     "if type(c) is bool or not", "if not", MODEL_TESTS),
     # model.max_numerator, the one statement of the necessary conditions.
     ("numerator bound without its - 1", "model.py",
      "return (b - 1) // gcd(b, n)", "return b // gcd(b, n)", MODEL_TESTS),
@@ -240,23 +259,6 @@ MUTANTS = [
      "first = lo + (", "first = step + lo + (", SEARCH_TESTS),
     ("two-slot step taken as w2", "search.py",
      "step = w2 // g\n", "step = w2\n", SEARCH_TESTS),
-    # search.min_length_search under --shuffle, and _sampled_sets' unranking.
-    ("sampling condition without its + 1", "search.py",
-     "if total > cap - combos + 1:", "if total > cap - combos:", SEARCH_TESTS),
-    ("sampling condition with >=", "search.py",
-     "if total > cap - combos + 1:", "if total >= cap - combos + 1:", SEARCH_TESTS),
-    ("sampling condition without - combos", "search.py",
-     "if total > cap - combos + 1:", "if total > cap + 1:", SEARCH_TESTS),
-    ("member steps over a skipped divisor too early", "search.py",
-     "if s > b:", "if s > b + 1:", SEARCH_TESTS),
-    ("pool size off by one", "search.py",
-     "pool_size = B - 1 - len(skipped)", "pool_size = B - len(skipped)", SEARCH_TESTS),
-    ("unranking search starts one too high", "search.py",
-     "lo, hi = i - 1, rank + i", "lo, hi = i, rank + i", SEARCH_TESTS),
-    ("shuffle pool keeps the divisors of n above its square root", "search.py",
-     "for e in (d, n // d))", "for e in (d,))", SEARCH_TESTS),
-    ("shuffled search past the cap not refused", "search.py",
-     "        if bound > cap:\n", "        if False:\n", CLI_TESTS),
     # cli._wire, the one wire rule.
     ("wire form tests int before bool", "cli.py",
      "if obj is None or isinstance(obj, (bool, str)):", "if obj is None or isinstance(obj, str):", CLI_TESTS),

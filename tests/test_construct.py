@@ -365,6 +365,14 @@ def test_inputs_must_be_reduced_and_positive():
         (general_coprime, (True, 3), "m and n must be integers"),
         (all_units_but_one, (True, 2), "m and n must be integers"),
         (two_term, (2, True), "m and n must be integers"),
+        # bool is an int subclass: True is refused as a seed, an omega
+        # member or a head budget, as it is as a target.
+        (general_coprime, (5, 7, "unit", (), True), "seed must be a nonnegative integer"),
+        (general_coprime, (5, 7, "unit", [True]), "omega must contain positive integers"),
+        (general_coprime, (5, 7, "unit", [[1]]), "omega must contain positive integers"),
+        (general_coprime, (30, 7, "unit", (), 0, 1.5), "max_terms must be a nonnegative integer"),
+        (general_coprime, (30, 7, "unit", (), 0, -1), "max_terms must be a nonnegative integer"),
+        (all_units_but_one, (30, 7, (), 0, True), "max_terms must be a nonnegative integer"),
     ],
 )
 def test_constructor_input_checks(build, args, message):
@@ -395,6 +403,8 @@ def test_prop6_condition_rejects_bad_shapes():
     # 2/3 = 1/3 + 1/6 + 1/6: the middle term repeats y * n.
     with pytest.raises(ValueError, match="not distinct"):
         prop6_condition(2, 3, 3, 2, 1)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        prop6_condition(True, 3, 2, 1, 1)
 
 
 def fraction_prop6(m, n, y2, y, x):

@@ -229,6 +229,13 @@ def test_scale_rejects_nonpositive_factor():
         scale(d, 0)
 
 
+@pytest.mark.parametrize("c", [True, 2.5])
+def test_scale_rejects_a_factor_that_is_not_an_integer(c):
+    d = d_of(2, 3, [(1, 2), (1, 6)])
+    with pytest.raises(ValueError, match="scaling factor must be a positive integer"):
+        scale(d, c)
+
+
 @given(st.integers(min_value=1, max_value=10))
 @settings(**HYP_SETTINGS)
 def test_scale_keeps_validity(c):

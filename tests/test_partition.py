@@ -37,6 +37,14 @@ def test_spec_parts_and_m_must_be_integers_not_booleans(m, parts):
         PartitionSpec(m, parts)
 
 
+@pytest.mark.parametrize("n", [True, 7.0])
+def test_n_must_be_an_integer_not_a_boolean(n):
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        decompose_partition(PartitionSpec(3, (1, 2)), n)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        t_set((1, 2), n)
+
+
 def test_two_plus_three_over_seven():
     bd = decompose_partition(PartitionSpec(5, (2, 3)), 7)
     assert [b.target for b in bd.blocks] == [Fraction(2, 7), Fraction(3, 7)]

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -122,81 +122,6 @@ def test_a_length_one_search_stores_none_of_its_pool():
     assert peak < 2**16
 
 
-def test_shuffle_bounds_memory_when_the_cap_must_trip():
-    # The C(1498, 2) sets of length 2 outnumber the 3,503 that the combos
-    # left after length 1 can enter, so they are drawn as needed instead of
-    # listed (94 MB RSS when listed).
-    tracemalloc.start()
-    try:
-        result = min_length_search(7, 3, SearchBudget(2, 1500, 5000), shuffle_seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.cap_hit
-    assert [o.exhausted for o in result.outcomes] == [True, False]
-    assert peak < 2**20
-
-
-@pytest.mark.parametrize(
-    "budget, drawn",
-    [
-        # Length 1: each of the B - 2 sets of 7/3 costs one combo, and a cap
-        # of 10 lets 11 be entered: 11 sets are listed (and exhausted), 12 not.
-        (SearchBudget(1, 13, 10), False),
-        (SearchBudget(1, 14, 10), True),
-        # Length 2: length 1 spent 5, so a cap of 14 lets 10 of the C(5, 2)
-        # sets be entered and a cap of 13 only 9.
-        (SearchBudget(2, 7, 14), False),
-        (SearchBudget(2, 7, 13), True),
-    ],
-)
-def test_shuffle_draws_the_sets_of_a_length_only_when_it_cannot_be_exhausted(
-    budget, drawn, monkeypatch
-):
-    calls, sets = [], []
-
-    def spy(*args):
-        calls.append(args)
-        for dens in sampled_sets(*args):
-            sets.append(dens)
-            yield dens
-
-    sampled_sets = search._sampled_sets
-    monkeypatch.setattr(search, "_sampled_sets", spy)
-    shuffled = min_length_search(7, 3, budget, shuffle_seed=1)
-    assert bool(calls) == drawn
-    # Drawn sets are distinct and hold only denominators of the pool.
-    assert len(set(sets)) == len(sets)
-    assert all(2 <= b <= budget.max_denominator and b != 3 for dens in sets for b in dens)
-    # No witness exists, so the order changes no verdict.
-    assert outcome_pairs(shuffled) == outcome_pairs(min_length_search(7, 3, budget))
-
-
-def test_sampled_sets_are_every_set_once_in_a_new_order():
-    colex = list(search._colex_sets(range(2, 10), 3))
-    drawn = list(search._sampled_sets(comb(8, 3), 3, 1, lambda i: i + 2))
-    assert sorted(drawn) == sorted(colex)
-    assert drawn != colex
-
-
-def test_shuffle_still_finds_a_witness_in_a_length_it_cannot_exhaust():
-    # C(37, 2) = 666 sets of length 2 against a cap of 500.
-    result = min_length_search(3, 4, SearchBudget(2, 40, 500), shuffle_seed=1)
-    assert not result.cap_hit
-    assert result.outcomes[-1] == LengthOutcome(2, result.witness, False)
-    assert result.witness.target == Fraction(3, 4)
-    assert verify(result.witness).faithful
-
-
-def test_shuffle_changes_order_not_verdict():
-    plain = min_length_search(2, 3, SearchBudget(2, 10))
-    shuffled = min_length_search(2, 3, SearchBudget(2, 10), shuffle_seed=99)
-    assert plain.witness is not None
-    assert shuffled.witness is not None
-    # any witness is acceptable, but both runs must agree a witness exists
-    assert [o.exhausted for o in plain.outcomes] == [o.exhausted for o in shuffled.outcomes]
-
-
 def test_search_is_deterministic():
     a = min_length_search(7, 3, SearchBudget(3, 30))
     b = min_length_search(7, 3, SearchBudget(3, 30))
@@ -273,10 +198,18 @@ def reference_outcomes(m, n, budget):
     return outcomes
 
 
-@pytest.mark.parametrize("budget", [SearchBudget(3, 10), SearchBudget(2, 14)])
-def test_search_matches_a_plain_enumeration(budget):
-    targets = [(m, n) for n in range(1, 7) for m in range(1, 3 * n) if gcd(m, n) == 1]
-    assert len(targets) == 35
+# The 35 reduced targets below 3 with n <= 6, and the 10 proper ones over
+# the prime powers 8 and 9.
+SMALL_N = [(m, n) for n in range(1, 7) for m in range(1, 3 * n) if gcd(m, n) == 1]
+PRIME_POWER_N = [(m, n) for n in (8, 9) for m in range(1, n) if gcd(m, n) == 1]
+
+
+@pytest.mark.parametrize(
+    "budget, targets",
+    [(SearchBudget(3, 10), SMALL_N), (SearchBudget(2, 14), SMALL_N), (SearchBudget(2, 40), PRIME_POWER_N)],
+    ids=["budget0", "budget1", "prime-power-n"],
+)
+def test_search_matches_a_plain_enumeration(budget, targets):
     for m, n in targets:
         result = min_length_search(m, n, budget)
         assert not result.cap_hit, (m, n)
