@@ -372,11 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             lines = [json.dumps(_wire(payload), separators=(",", ":"))]
     except (argparse.ArgumentTypeError, ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # construct's TermBudgetExceeded is a ValueError; construct is loaded
-        # whenever one can have been raised.
-        construct = sys.modules.get(f"{__package__}.construct")
-        over = (CapExceeded, construct.TermBudgetExceeded) if construct else CapExceeded
-        return EXIT_BUDGET if isinstance(exc, over) else EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, CapExceeded) else EXIT_USAGE
     print("\n".join(lines))
     return code
 

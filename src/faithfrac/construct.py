@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import gcd, isqrt, prod
 from typing import Iterable, NamedTuple
 
-from .model import Decomposition, _Record, _setfield, coprime_shape, decomposition, scale, validate
+from .model import Decomposition, _Record, coprime_shape, decomposition, scale, validate
 from .numeric import BezoutPair, mod_inverse, next_prime_avoiding
+from .verifier import CapExceeded
 
 __all__ = [
     "TermBudgetExceeded",
@@ -34,8 +35,11 @@ __all__ = [
 ]
 
 
-class TermBudgetExceeded(ValueError):
-    """Raised when a greedy head would need more prime terms than max_terms."""
+class TermBudgetExceeded(CapExceeded, ValueError):
+    """Raised when a greedy head would need more prime terms than max_terms.
+
+    A budget refusal like the verifier's cap, and still a ValueError for
+    callers that catch that."""
 
 
 # Prime terms a greedy head may take unless the caller says otherwise.  The
@@ -53,31 +57,13 @@ UNIT_HEAD_MAX_TERMS = 500
 class ConstructionTrace(_Record):
     """How a decomposition was assembled, for audit and reproducibility."""
 
-    primes_used: tuple[int, ...]
-    bezout: BezoutPair | None
-    progression_steps: int
-    branch: str | None
-    applied_scaling: int | None
-    avoided: tuple[int, ...]
-    predicted_faithful: bool | None
-
-    def __init__(
-        self,
-        primes_used: tuple[int, ...] = (),
-        bezout: BezoutPair | None = None,
-        progression_steps: int = 0,
-        branch: str | None = None,
-        applied_scaling: int | None = None,
-        avoided: tuple[int, ...] = (),
-        predicted_faithful: bool | None = None,
-    ) -> None:
-        _setfield(self, "primes_used", primes_used)
-        _setfield(self, "bezout", bezout)
-        _setfield(self, "progression_steps", progression_steps)
-        _setfield(self, "branch", branch)
-        _setfield(self, "applied_scaling", applied_scaling)
-        _setfield(self, "avoided", avoided)
-        _setfield(self, "predicted_faithful", predicted_faithful)
+    primes_used: tuple[int, ...] = ()
+    bezout: BezoutPair | None = None
+    progression_steps: int = 0
+    branch: str | None = None
+    applied_scaling: int | None = None
+    avoided: tuple[int, ...] = ()
+    predicted_faithful: bool | None = None
 
 
 class Built(NamedTuple):

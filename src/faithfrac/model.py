@@ -13,7 +13,6 @@ import sys
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
 __all__ = [
@@ -40,31 +39,45 @@ _setfield = object.__setattr__
 class _Record:
     """Base of the package's frozen value records.
 
-    A subclass annotates its fields and writes an __init__ that sets exactly
-    those fields, in order, with _setfield, so vars() is the field dict.
-    repr, == (between two instances of one class) and hash read the fields
-    in that order, and any later write or delete raises AttributeError.
+    A subclass annotates its fields, after its base's.  From them it gets an
+    == (between two instances of one class) and a hash that read every field
+    in order, and, unless it writes its own, an __init__ that takes every
+    field in order and sets it with _setfield, so vars() is the field dict.
+    A value given on an annotation is that parameter's default.  A written
+    __init__ sets the same fields, in order, with _setfield.  repr reads the
+    fields in order, and any later write or delete raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # A subclass's own annotations follow its base's fields.  Every
-        # record has two or more fields, so _key returns a tuple.
-        cls._fields = cls.__match_args__ = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
-        cls._key = attrgetter(*cls._fields)
+        # One exec per class; the functions compile to what one would write
+        # by hand for these fields.
+        cls._fields = cls.__match_args__ = fields = cls._fields + tuple(cls.__dict__.get("__annotations__", ()))
+        source = (
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return {' and '.join(f'self.{f} == other.{f}' for f in fields)}\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({''.join(f'self.{f}, ' for f in fields)}))\n"
+        )
+        if cls.__init__ is object.__init__:
+            source += f"def __init__(self, {', '.join(fields)}):\n" + "".join(
+                f"    _setfield(self, {f!r}, {f})\n" for f in fields
+            )
+        methods: dict[str, Any] = {}
+        exec(source, {"_setfield": _setfield}, methods)
+        if "__init__" in methods:
+            methods["__init__"].__defaults__ = tuple(vars(cls)[f] for f in fields if f in vars(cls))
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            method.__module__ = cls.__module__
+            setattr(cls, name, method)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
@@ -88,17 +101,6 @@ class Term(_Record):
         _setfield(self, "num", num)
         _setfield(self, "den", den)
 
-    # Term and Decomposition are compared on hot paths (a decomposition
-    # against its JSON round trip), so they spell out _Record's == and hash
-    # over their own fields, which reads them faster than the key does.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.num == other.num and self.den == other.den
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
 
 class Decomposition(_Record):
     """An ordered sum of written terms with its reduced target value.
@@ -114,14 +116,6 @@ class Decomposition(_Record):
     def __init__(self, target: Fraction, terms: tuple[Term, ...]) -> None:
         _setfield(self, "target", target if type(target) is Fraction else Fraction(target))
         _setfield(self, "terms", terms if type(terms) is tuple else tuple(terms))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.target == other.target and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.terms))
 
     @cached_property
     def _audit(self) -> tuple[tuple[str, ...], int]:
@@ -190,11 +184,12 @@ def coprime_shape(d: Decomposition) -> bool:
     """True when d matches the coprime certificate shape, which by itself
     certifies faithfulness without enumeration.
 
-    Shape: every term before the last is proper (a < b), the last term is
-    exactly 1/(n * product of the other denominators), and n together with
-    the other denominators is pairwise coprime.
+    Shape: d is well formed (validate finds nothing, so its terms sum to its
+    target), every term before the last is proper (a < b), and the last term
+    is exactly 1/(n * product of the other denominators).  Then n and the
+    other denominators are pairwise coprime.
     """
-    if not d.terms:
+    if not d.terms or d._audit[0]:
         return False
     n = d.target.denominator
     head, last = d.terms[:-1], d.terms[-1]
@@ -202,10 +197,11 @@ def coprime_shape(d: Decomposition) -> bool:
         return False
     if any(t.num >= t.den for t in head):
         return False
-    dens = [t.den for t in head]
-    # n and the head's denominators are pairwise coprime exactly when their
-    # product equals their lcm.
-    return last.den == n * prod(dens) == lcm(n, *dens)
+    # With B = n * prod(b_i), the sum times B reads
+    # sum(a_i * B/b_i) + 1 = m * prod(b_i).  Taken mod n, and mod each b_i,
+    # that makes n and every b_i coprime to the product of the others, so
+    # a well-formed d with this last term is pairwise coprime already.
+    return last.den == n * prod(t.den for t in head)
 
 
 def _too_long() -> ValueError:

@@ -51,13 +51,6 @@ class BlockDecomposition(_Record):
     blocks: tuple[Decomposition, ...]
     combined: Decomposition
 
-    def __init__(
-        self, parts: tuple[int, ...], blocks: tuple[Decomposition, ...], combined: Decomposition
-    ) -> None:
-        _setfield(self, "parts", parts)
-        _setfield(self, "blocks", blocks)
-        _setfield(self, "combined", combined)
-
 
 def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
     """Build one faithful block per part, all denominator pools coprime.
@@ -110,13 +103,6 @@ class PartitionCheck(_Record):
     block_decomposition: BlockDecomposition
     s: frozenset[Fraction]
     t: frozenset[Fraction]
-
-    def __init__(
-        self, block_decomposition: BlockDecomposition, s: frozenset[Fraction], t: frozenset[Fraction]
-    ) -> None:
-        _setfield(self, "block_decomposition", block_decomposition)
-        _setfield(self, "s", s)
-        _setfield(self, "t", t)
 
     @property
     def equal(self) -> bool:

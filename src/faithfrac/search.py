@@ -63,25 +63,12 @@ class LengthOutcome(_Record):
     found: Decomposition | None
     exhausted: bool
 
-    def __init__(self, length: int, found: Decomposition | None, exhausted: bool) -> None:
-        _setfield(self, "length", length)
-        _setfield(self, "found", found)
-        _setfield(self, "exhausted", exhausted)
-
 
 class SearchResult(_Record):
     target: Fraction
     outcomes: tuple[LengthOutcome, ...]
     cap_hit: bool
     combos_used: int
-
-    def __init__(
-        self, target: Fraction, outcomes: tuple[LengthOutcome, ...], cap_hit: bool, combos_used: int
-    ) -> None:
-        _setfield(self, "target", target)
-        _setfield(self, "outcomes", outcomes)
-        _setfield(self, "cap_hit", cap_hit)
-        _setfield(self, "combos_used", combos_used)
 
     @property
     def witness(self) -> Decomposition | None:
@@ -241,23 +228,10 @@ class Prop6Instance(_Record):
     condition: bool
     verified: bool
 
-    def __init__(self, m: int, n: int, y2: int, y: int, x: int, condition: bool, verified: bool) -> None:
-        _setfield(self, "m", m)
-        _setfield(self, "n", n)
-        _setfield(self, "y2", y2)
-        _setfield(self, "y", y)
-        _setfield(self, "x", x)
-        _setfield(self, "condition", condition)
-        _setfield(self, "verified", verified)
-
 
 class Prop6ScanReport(_Record):
     instances: int
     discrepancies: tuple[Prop6Instance, ...]
-
-    def __init__(self, instances: int, discrepancies: tuple[Prop6Instance, ...]) -> None:
-        _setfield(self, "instances", instances)
-        _setfield(self, "discrepancies", discrepancies)
 
 
 def _sweep(

@@ -38,7 +38,7 @@ from itertools import product as iproduct
 from math import gcd, prod
 from operator import mul
 
-from .model import Decomposition, _Record, _setfield
+from .model import Decomposition, _Record
 
 __all__ = [
     "DEFAULT_CAP",
@@ -65,10 +65,6 @@ class Violation(_Record):
     coefficients: tuple[int, ...]
     value: Fraction
 
-    def __init__(self, coefficients: tuple[int, ...], value: Fraction) -> None:
-        _setfield(self, "coefficients", coefficients)
-        _setfield(self, "value", value)
-
 
 class FaithfulnessReport(_Record):
     """A verdict, its colex-minimal violation, and what it cost.
@@ -83,14 +79,6 @@ class FaithfulnessReport(_Record):
     violation: Violation | None
     combos_examined: int
     method: str
-
-    def __init__(
-        self, faithful: bool, violation: Violation | None, combos_examined: int, method: str
-    ) -> None:
-        _setfield(self, "faithful", faithful)
-        _setfield(self, "violation", violation)
-        _setfield(self, "combos_examined", combos_examined)
-        _setfield(self, "method", method)
 
 
 def _checked(d: Decomposition) -> int:

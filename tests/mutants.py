@@ -164,21 +164,24 @@ MUTANTS = [
      "target if type(target) is Fraction else", "target if type(target) in (Fraction, int) else", MODEL_TESTS),
     ("bool accepted as a term's numerator", "model.py",
      "if type(num) is bool or type(den) is bool or", "if type(den) is bool or", MODEL_TESTS),
-    # model._Record, the one base of the value records, and the checks of
-    # the records that take integers.
+    # model._Record, the one base of the value records, with the methods it
+    # generates from their annotations, and the checks of the records that
+    # take integers.
     ("record == without the same-class test", "model.py",
-     "if other.__class__ is self.__class__:\n            return self._key(self)",
-     "if True:\n            return self._key(self)", MODEL_TESTS),
-    ("record key leaves out one field", "model.py",
-     "attrgetter(*cls._fields)", "attrgetter(*cls._fields[:-1])", MODEL_TESTS),
+     "if other.__class__ is self.__class__:\\n", "if True:\\n", MODEL_TESTS),
+    ("generated == drops the last field", "model.py",
+     "f'self.{f} == other.{f}' for f in fields)", "f'self.{f} == other.{f}' for f in fields[:-1])",
+     MODEL_TESTS),
+    ("generated hash drops a field", "model.py",
+     "f'self.{f}, ' for f in fields)", "f'self.{f}, ' for f in fields[1:])", MODEL_TESTS),
+    ("generated __init__ skips the last field", "model.py",
+     "{f!r}, {f})\\n\" for f in fields", "{f!r}, {f})\\n\" for f in fields[:-1]", MODEL_TESTS),
+    ("generated defaults shift by one", "model.py",
+     "for f in fields if f in vars(cls))", "for f in fields if f in vars(cls))[:-1]", MODEL_TESTS),
+    ("generator overwrites a written __init__", "model.py",
+     "if cls.__init__ is object.__init__:", "if True:", MODEL_TESTS),
     ("record write allowed", "model.py",
      '        raise AttributeError(f"cannot assign', '        return _setfield(self, name, value)\n        raise AttributeError(f"cannot assign', MODEL_TESTS),
-    ("term == without the denominator", "model.py",
-     "return self.num == other.num and self.den == other.den", "return self.num == other.num",
-     MODEL_TESTS),
-    ("decomposition == without the terms", "model.py",
-     "return self.target == other.target and self.terms == other.terms",
-     "return self.target == other.target", MODEL_TESTS),
     ("model imports dataclasses", "model.py",
      "import json\n", "import dataclasses\nimport json\n", IMPORT_GUARD),
     ("bool accepted as a partition part", "partition.py",
@@ -217,9 +220,11 @@ MUTANTS = [
      "range(2, B + 1) if max_numerator(b, n))", "range(2, B + 1))", SEARCH_TESTS),
     ("length-1 sets listed from the whole pool", "search.py",
      "yield from ((b,) for b in pool)", "yield from ((b,) for b in list(pool))", SEARCH_TESTS),
-    # model.coprime_shape: pairwise coprime moduli as product == lcm.
-    ("coprime shape without the lcm check", "model.py",
-     "return last.den == n * prod(dens) == lcm(n, *dens)", "return last.den == n * prod(dens)", MODEL_TESTS),
+    # model.coprime_shape: an exact sum and the closer 1/(n * prod(b_i)).
+    ("coprime shape without its closing denominator", "model.py",
+     "return last.den == n * prod(t.den for t in head)", "return True", MODEL_TESTS),
+    ("coprime shape of terms that miss the target", "model.py",
+     "if not d.terms or d._audit[0]:", "if not d.terms:", MODEL_TESTS),
     # construct.prop6_condition's O(1) verdict.
     ("prop6 verdict without its divisibility test", "construct.py",
      "    return n % y2 != 0\n", "    return True\n", PROP6_TESTS),
@@ -286,9 +291,9 @@ MUTANTS = [
      "        names.update(public, __all__=sorted(public))\n",
      "        names.update(__all__=sorted(public))\n        if name in public:\n            return public[name]\n",
      PACKAGE_TESTS),
-    ("term budget error mapped to exit 2", "cli.py",
-     "over = (CapExceeded, construct.TermBudgetExceeded) if construct else CapExceeded",
-     "over = CapExceeded", CLI_BUDGET_TEST),
+    ("term budget error mapped to exit 2", "construct.py",
+     "class TermBudgetExceeded(CapExceeded, ValueError):", "class TermBudgetExceeded(ValueError):",
+     CLI_BUDGET_TEST),
 ]
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from faithfrac import construct, decomposition, is_prime, to_json
+from faithfrac import CapExceeded, construct, decomposition, is_prime, to_json
 from faithfrac.cli import main
 
 FOUR_NINTHS = (
@@ -231,6 +231,14 @@ def test_decompose_theorem2_head_past_budget_exits_three(capsys, m, n):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and "prime terms" in err
+
+
+def test_term_budget_error_is_a_cap_refusal_and_a_value_error(capsys):
+    assert issubclass(construct.TermBudgetExceeded, CapExceeded)
+    assert issubclass(construct.TermBudgetExceeded, ValueError)
+    code, out, err = run(["decompose", "13", "4", "--strategy", "theorem2"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: head would need more than 500 prime terms\n"
 
 
 def test_decompose_theorem1_head_past_budget_exits_three(capsys):

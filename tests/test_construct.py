@@ -16,6 +16,7 @@ from faithfrac import (
     decompose_partition,
     from_perfect,
     general_coprime,
+    next_prime_avoiding,
     prop6_condition,
     prop7,
     theorem1,
@@ -222,6 +223,32 @@ def test_unit_head_has_a_default_budget(m, n):
         all_units_but_one(m, n)
     with pytest.raises(TermBudgetExceeded):
         general_coprime(m, n, "unit")
+
+
+# n: (the largest m with m/n built at the default budget, the next m coprime to n).
+UNIT_HEAD_REACH = {
+    1: (3, 4), 2: (5, 7), 3: (8, 10), 4: (11, 13), 5: (14, 16), 6: (13, 17),
+    7: (22, 23), 8: (21, 23), 9: (26, 28), 10: (23, 27), 11: (36, 37), 12: (29, 31),
+}
+
+
+@pytest.mark.parametrize("n", list(UNIT_HEAD_REACH))
+def test_unit_head_reach_at_the_default_budget(n):
+    # The head stops once the remainder falls below 1, so m/n builds exactly
+    # when m/n < 1 + S, S the sum of 1/p over the first 500 primes not
+    # dividing n.  S grows like ln ln of the last prime (Mertens), so a
+    # larger budget barely reaches further.
+    built, refused = UNIT_HEAD_REACH[n]
+    primes = [next_prime_avoiding(2, (n,))]
+    while len(primes) < 500:
+        primes.append(next_prime_avoiding(primes[-1] + 1, (n,)))
+    P = prod(primes)
+    S_num = sum(P // p for p in primes)  # S = S_num / P
+    assert (built - n) * P < n * S_num <= (refused - n) * P
+    assert all(gcd(m, n) > 1 for m in range(built + 1, refused))
+    assert all_units_but_one(built, n).decomposition.target == Fraction(built, n)
+    with pytest.raises(TermBudgetExceeded):
+        all_units_but_one(refused, n)
 
 
 def test_max_head_has_the_same_default_budget():

@@ -4,6 +4,7 @@ import inspect
 import pickle
 import sys
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -162,11 +163,22 @@ def test_records_are_frozen_values_of_their_fields(cls, values):
             cls(*values[: required - 1])
 
 
-def test_term_and_decomposition_compare_every_field():
-    # The two records that spell out their own == and hash.
-    assert Term(1, 4) != Term(2, 4) and Term(1, 4) != Term(1, 5)
-    d = d_of(5, 6, [(1, 2), (1, 3)])
-    assert d != d_of(5, 7, [(1, 2), (1, 3)]) and d != d_of(5, 6, [(1, 2), (1, 4)])
+def test_construction_trace_defaults_are_class_attributes():
+    assert ConstructionTrace() == ConstructionTrace((), None, 0, None, None, (), None)
+    assert ConstructionTrace.branch is None and ConstructionTrace.avoided == ()
+
+
+@pytest.mark.parametrize("cls,values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_compare_and_hash_every_field(cls, values):
+    # Each copy differs from r in one field only; it is built past __init__,
+    # which may refuse the new value (a partition's parts must sum to m).
+    r = cls(*values)
+    for i in range(len(values)):
+        changed = object.__new__(cls)
+        for name, value in zip(cls._fields, values[:i] + (object(),) + values[i + 1:]):
+            object.__setattr__(changed, name, value)
+        assert r != changed and changed != r and not r == changed and not changed == r
+        assert hash(r) != hash(changed)
 
 
 def test_validate_accepts_exact_examples():
@@ -273,13 +285,37 @@ def test_single_self_term_breaks_the_bound_despite_being_faithful():
     assert verify(d).faithful
 
 
+def test_coprime_shape_needs_terms_that_sum_to_the_target():
+    # n = 2 and the head 2/3 make the last term 1/(2*3) of the shape, but
+    # the terms sum to 5/6, not 1/2.
+    d = decomposition(Fraction(1, 2), [(2, 3), (1, 6)])
+    assert validate(d) == ["sum mismatch"]
+    assert not coprime_shape(d)
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(2, 12)), max_size=3),
+    st.integers(1, 12),
+)
+@settings(**HYP_SETTINGS)
+def test_coprime_shape_matches_its_definition_with_the_lcm_check(head, n):
+    # coprime_shape leaves out the pairwise coprime test, which an exact sum
+    # with the closer 1/(n * prod(b_i)) implies; the definition keeps it.
+    closer = n * prod(b for _, b in head)
+    target = sum((Fraction(a, b) for a, b in head), Fraction(1, closer))
+    d = decomposition(target, head + [(1, closer)])
+    expected = (not validate(d) and target.denominator == n and all(a < b for a, b in head)
+                and lcm(n, *(b for _, b in head)) == closer)
+    assert coprime_shape(d) == expected
+
+
 def test_coprime_shape_examples():
     assert coprime_shape(d_of(2, 3, [(1, 2), (1, 6)]))
     assert coprime_shape(d_of(9, 5, [(1, 2), (1, 3), (28, 29), (1, 870)]))
     # faithful but the certificate does not apply: gcd(4, 6) = 2
     assert not coprime_shape(d_of(4, 9, [(1, 4), (1, 6), (1, 36)]))
-    # the last denominator is n * 2 * 4, but gcd(2, 4) = 2; coprime_shape
-    # reads only the target's denominator, so the sum need not match
+    # the last denominator is n * 2 * 4, but gcd(2, 4) = 2, and the terms
+    # sum to 19/24: an exact sum with this closer forces coprime moduli
     assert not coprime_shape(Decomposition(Fraction(1, 3), (Term(1, 2), Term(1, 4), Term(1, 24))))
     assert not coprime_shape(Decomposition(Fraction(0), ()))
     # 8/5 = 3/2 + 1/10 has the closing term and coprime moduli, but an improper head
