@@ -13,11 +13,12 @@ decomposition's target.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd, isqrt, prod
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import Decomposition, _Record, coprime_shape, decomposition, scale, validate
-from .numeric import BezoutPair, mod_inverse, next_prime_avoiding
+from .numeric import BezoutPair, is_prime, mod_inverse
 from .verifier import CapExceeded
 
 __all__ = [
@@ -127,45 +128,39 @@ def from_perfect(p: int) -> Built:
     return Built(d, ConstructionTrace())
 
 
+def _primes_avoiding(start: int, avoid: int) -> Iterator[int]:
+    """The primes p >= start that do not divide avoid, in increasing order."""
+    return (p for p in count(start) if is_prime(p) and avoid % p)
+
+
 def _greedy_head(
-    m: int,
-    n: int,
-    omega: frozenset[int],
-    policy: str,
-    seed: int,
-    max_terms: int,
-    candidate: int = 2,
+    m: int, n: int, policy: str, primes: Callable[[], Iterator[int]], max_terms: int
 ) -> tuple[list[tuple[int, int]], list[int], int, int]:
-    """Pick admissible primes from `candidate` up until the remainder of m/n
+    """Take the primes of one stream, in order, until the remainder of m/n
     falls below 1.
 
     Unit policy contributes 1/p per prime; max policy contributes (p-1)/p.
     The remainder is held as z over den = n times the primes taken, not
-    reduced, so a term a/p steps it to (z*p - a*den)/(den*p).  The first
-    `seed` admissible primes are skipped, which is what makes distinct seeds
-    land on distinct decompositions.  Returns the terms, their primes, z and
+    reduced, so a term a/p steps it to (z*p - a*den)/(den*p).  primes()
+    makes the stream, and is called only when m/n is at least 1: most
+    heads take no prime at all.  Returns the terms, their primes, z and
     den.  Raises TermBudgetExceeded before taking a term past max_terms.
     """
-    forbidden = (n, *omega)
     z, den = m, n
     head: list[tuple[int, int]] = []
-    primes: list[int] = []
-    skipped = 0
-    while z >= den:
+    taken: list[int] = []
+    for p in primes() if z >= den else ():
         if len(head) >= max_terms:
             raise TermBudgetExceeded(f"head would need more than {max_terms} prime terms")
-        p = next_prime_avoiding(candidate, forbidden)
-        candidate = p + 1
-        if skipped < seed:
-            skipped += 1
-            continue
         a = 1 if policy == "unit" else p - 1
         head.append((a, p))
-        primes.append(p)
+        taken.append(p)
         z, den = z * p - a * den, den * p
-    if den != n * prod(primes):
+        if z < den:
+            break
+    if den != n * prod(taken):
         raise RuntimeError("remainder does not live over n times the prime product")
-    return head, primes, z, den
+    return head, taken, z, den
 
 
 def _progression_tail(
@@ -230,7 +225,11 @@ def general_coprime(
         max_terms = UNIT_HEAD_MAX_TERMS
     elif type(max_terms) is bool or not isinstance(max_terms, int) or max_terms < 0:
         raise ValueError("max_terms must be a nonnegative integer")
-    head, primes, z, den = _greedy_head(m, n, omega_set, numerator_policy, seed, max_terms)
+    # A prime avoids n and omega exactly when it does not divide their
+    # product.  Skipping the first seed of them makes distinct seeds land on
+    # distinct decompositions.
+    admissible = lambda: islice(_primes_avoiding(2, n * prod(omega_set)), seed, None)
+    head, primes, z, den = _greedy_head(m, n, numerator_policy, admissible, max_terms)
     a0_start = seed if not primes else 0
     tail, pair, a0 = _progression_tail(z, den, omega_set, a0_start)
     trace = ConstructionTrace(
@@ -269,9 +268,9 @@ def theorem1(m: int, n: int) -> Built:
     t = m // n
     if t < 2:
         raise ValueError("theorem1 needs m/n >= 2")
-    candidate = t * n // ((t + 1) * n - m) + 1  # first integer above the bound
+    start = t * n // ((t + 1) * n - m) + 1  # first integer above the bound
     head, primes, z, den = _greedy_head(
-        m, n, frozenset(), "max", 0, UNIT_HEAD_MAX_TERMS, candidate
+        m, n, "max", lambda: _primes_avoiding(start, n), UNIT_HEAD_MAX_TERMS
     )
     if len(primes) != t:
         raise RuntimeError("prime bound failed to control the remainder")

@@ -114,8 +114,22 @@ class Decomposition(_Record):
     terms: tuple[Term, ...]
 
     def __init__(self, target: Fraction, terms: tuple[Term, ...]) -> None:
-        _setfield(self, "target", target if type(target) is Fraction else Fraction(target))
-        _setfield(self, "terms", terms if type(terms) is tuple else tuple(terms))
+        # An int target and any iterable of terms are coerced; any other target
+        # (a bool, a float, a string) and terms that are not Terms are refused.
+        if type(target) is not Fraction:
+            if type(target) is bool or not isinstance(target, (int, Fraction)):
+                raise ValueError("a decomposition's target must be a Fraction or an integer")
+            target = Fraction(target)
+        if type(terms) is not tuple:
+            try:
+                terms = tuple(terms)
+            except TypeError:
+                raise ValueError("a decomposition's terms must be an iterable of Terms") from None
+        for t in terms:
+            if not isinstance(t, Term):
+                raise ValueError("a decomposition's terms must be an iterable of Terms")
+        _setfield(self, "target", target)
+        _setfield(self, "terms", terms)
 
     @cached_property
     def _audit(self) -> tuple[tuple[str, ...], int]:

@@ -11,7 +11,6 @@ __all__ = [
     "BezoutPair",
     "mod_inverse",
     "is_prime",
-    "next_prime_avoiding",
 ]
 
 
@@ -25,6 +24,8 @@ class BezoutPair(NamedTuple):
 
 def mod_inverse(a: int, n: int) -> int:
     """Inverse of a modulo n in [1, n-1]; error when gcd(a, n) != 1."""
+    if not isinstance(a, int) or not isinstance(n, int):
+        raise ValueError("mod_inverse needs integers")
     if n < 2:
         raise ValueError("modulus must be at least 2")
     try:
@@ -72,6 +73,8 @@ def is_prime(n: int) -> bool:
     threshold).  Above that it is a strong probable-prime test to 30 fixed
     bases: a composite that passes them all would be reported prime, and no
     proof is made that this cannot happen."""
+    if not isinstance(n, int):
+        raise ValueError("is_prime needs an integer")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -91,16 +94,3 @@ def is_prime(n: int) -> bool:
             break
     return all(_strong_probable_prime(n, a, d, r) for a in witnesses)
 
-
-def next_prime_avoiding(lower_bound: int, forbidden: Iterable[int]) -> int:
-    """First prime p >= lower_bound dividing no forbidden value.
-
-    Every forbidden value must be positive: 0 is divisible by every prime.
-    """
-    forb = tuple(forbidden)
-    if any(f < 1 for f in forb):
-        raise ValueError("forbidden values must be positive")
-    p = max(2, lower_bound)
-    while not (is_prime(p) and all(f % p != 0 for f in forb)):
-        p += 1
-    return p

@@ -4,7 +4,9 @@
 
 Unpacks `git archive REV src` into a temporary directory and runs that copy
 and the working tree's src/ in two subprocesses, so the two packages never
-share sys.modules.  Both are fed one seeded corpus of decompositions, built
+share sys.modules.  A REV that git does not know, or a copy of the tree
+that is not a git work tree, exits 2 with git's message before anything
+is built.  Both are fed one seeded corpus of decompositions, built
 here from the working tree:
 - the generated pool of tests/pools.py, which the pinned digests share;
 - the theorem1 outputs of the 50 seed-730 targets, whose lattices run to
@@ -269,12 +271,18 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    cases, calls = corpus(), cli_corpus()
-    api_calls = api_corpus(cases)
     with tempfile.TemporaryDirectory(prefix="faithfrac-differential-") as tmp:
         tmp = Path(tmp)
+        # Unpacked first, so a bad REV or a tree without git fails at once.
+        try:
+            sides = [unpack(argv[0], tmp / "rev"), ROOT / "src"]
+        except subprocess.CalledProcessError as e:
+            sys.stderr.write(e.stderr.decode(errors="replace"))
+            print("differential.py needs a git work tree and a known REV", file=sys.stderr)
+            return 2
+        cases, calls = corpus(), cli_corpus()
+        api_calls = api_corpus(cases)
         (tmp / "cases.json").write_text(json.dumps([cases, api_calls, calls]))
-        sides = [unpack(argv[0], tmp / "rev"), ROOT / "src"]
         runs = []
         for side, src in enumerate(sides):
             with open(tmp / f"out{side}", "w") as out:

@@ -48,6 +48,7 @@ SEARCH_TESTS = ("tests/test_search.py",)
 # whole file then runs past TIMEOUT_S; these tests fail at once.
 REFUSAL_TESTS = ("tests/test_search.py", "-k", "pinned or refused_sets")
 MODEL_TESTS = ("tests/test_model.py",)
+NUMERIC_TESTS = ("tests/test_numeric.py",)
 PARTITION_TESTS = ("tests/test_partition.py",)
 PROP6_TESTS = ("tests/test_construct.py", "-k", "prop6 or prop7")
 CONSTRUCT_TESTS = ("tests/test_construct.py",)
@@ -134,8 +135,19 @@ MUTANTS = [
     # construct._greedy_head and _progression_tail: the remainder z over den.
     ("head step without a * den", "construct.py",
      "z, den = z * p - a * den, den * p", "z, den = z * p - den, den * p", CONSTRUCT_TESTS),
-    ("head runs while z > den", "construct.py",
-     "    while z >= den:\n", "    while z > den:\n", CONSTRUCT_TESTS),
+    # Only the entry test can meet z == den (a target of exactly 1): after a
+    # step the remainder keeps the primes taken in its reduced denominator,
+    # so it is never 1.
+    ("head entered only when z > den", "construct.py",
+     "primes() if z >= den else ()", "primes() if z > den else ()", CONSTRUCT_TESTS),
+    # construct._primes_avoiding, the one stream of admissible primes each
+    # head reads.
+    ("seed skip off by one", "construct.py",
+     "seed, None)", "seed + 1, None)", CONSTRUCT_TESTS),
+    ("stream ignores the forbidden values", "construct.py",
+     "if is_prime(p) and avoid % p)", "if is_prime(p))", CONSTRUCT_TESTS),
+    ("theorem1's stream starts one past its bound", "construct.py",
+     "_primes_avoiding(start, n)", "_primes_avoiding(start + 1, n)", CONSTRUCT_TESTS),
     ("progression gcd against the first omega member only", "construct.py",
      "avoid = prod(omega)", "avoid = next(iter(omega), 1)", CONSTRUCT_TESTS),
     # construct.general_coprime's head budget.
@@ -161,7 +173,11 @@ MUTANTS = [
     ("validate hands out the kept problems themselves", "model.py",
      "return list(d._audit[0])", "return d._audit[0]", MODEL_TESTS),
     ("coercion skipped for an int target", "model.py",
-     "target if type(target) is Fraction else", "target if type(target) in (Fraction, int) else", MODEL_TESTS),
+     "            target = Fraction(target)\n", "", MODEL_TESTS),
+    ("decomposition target check dropped", "model.py",
+     "if type(target) is bool or not isinstance(target, (int, Fraction)):", "if False:", MODEL_TESTS),
+    ("decomposition term check dropped", "model.py",
+     "if not isinstance(t, Term):", "if False:", MODEL_TESTS),
     ("bool accepted as a term's numerator", "model.py",
      "if type(num) is bool or type(den) is bool or", "if type(den) is bool or", MODEL_TESTS),
     # model._Record, the one base of the value records, with the methods it
@@ -209,6 +225,9 @@ MUTANTS = [
      PARTITION_TESTS),
     ("bool accepted as the n of t_set", "partition.py",
      'once each.\n    """\n    if type(n) is bool or not', 'once each.\n    """\n    if not', PARTITION_TESTS),
+    ("is_prime type check dropped", "numeric.py",
+     '    if not isinstance(n, int):\n        raise ValueError("is_prime needs an integer")\n', "",
+     NUMERIC_TESTS),
     ("bool accepted as a scaling factor", "model.py",
      "if type(c) is bool or not", "if not", MODEL_TESTS),
     # model.max_numerator, the one statement of the necessary conditions.

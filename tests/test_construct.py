@@ -2,7 +2,8 @@
 
 import hashlib
 from fractions import Fraction
-from math import gcd, prod
+from itertools import count, islice
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +17,7 @@ from faithfrac import (
     decompose_partition,
     from_perfect,
     general_coprime,
-    next_prime_avoiding,
+    is_prime,
     prop6_condition,
     prop7,
     theorem1,
@@ -239,9 +240,7 @@ def test_unit_head_reach_at_the_default_budget(n):
     # dividing n.  S grows like ln ln of the last prime (Mertens), so a
     # larger budget barely reaches further.
     built, refused = UNIT_HEAD_REACH[n]
-    primes = [next_prime_avoiding(2, (n,))]
-    while len(primes) < 500:
-        primes.append(next_prime_avoiding(primes[-1] + 1, (n,)))
+    primes = list(islice((p for p in count(2) if is_prime(p) and n % p), 500))
     P = prod(primes)
     S_num = sum(P // p for p in primes)  # S = S_num / P
     assert (built - n) * P < n * S_num <= (refused - n) * P
@@ -269,6 +268,36 @@ def test_largest_max_block_that_builds():
     assert bd.blocks == (built.decomposition,)
     with pytest.raises(TermBudgetExceeded):
         decompose_partition(PartitionSpec(499, (499,)), 1)
+
+
+def _trial_primes_avoiding(values):
+    """The primes that divide no member of values, found by trial division."""
+    for p in count(2):
+        if all(p % d for d in range(2, isqrt(p) + 1)) and all(v % p for v in values):
+            yield p
+
+
+@pytest.mark.parametrize("omega", [[], [2], [3, 10], [4, 9, 25], [1, 6, 35]])
+def test_heads_take_the_admissible_primes_in_order(omega):
+    # general_coprime's head skips the first seed primes that divide neither
+    # n nor a member of omega, then takes the next ones in order; theorem1's
+    # takes the t smallest primes above its bound that do not divide n.
+    for n in range(1, 13):
+        for m in range(n, 4 * n):
+            if gcd(m, n) != 1:
+                continue
+            for policy in ("unit", "max") if m < 2 * n else ("max",):
+                for seed in range(4):
+                    used = general_coprime(m, n, policy, omega, seed).trace.primes_used
+                    assert used
+                    expected = _trial_primes_avoiding([n, *omega])
+                    assert used == tuple(islice(expected, seed, seed + len(used)))
+            t = m // n
+            if t >= 2:
+                bound = Fraction(t * n, (t + 1) * n - m)
+                used = theorem1(m, n).trace.primes_used
+                expected = (p for p in _trial_primes_avoiding([n]) if p > bound)
+                assert used == tuple(islice(expected, t))
 
 
 def test_seed_changes_output_but_not_faithfulness():

@@ -3,6 +3,7 @@
 import inspect
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm, prod
 
@@ -59,6 +60,26 @@ def test_term_parts_must_not_be_booleans(num, den):
     # True == 1, but its JSON text "True" could not be read back.
     with pytest.raises(ValueError, match="term parts must be integers"):
         Term(num, den)
+
+
+@pytest.mark.parametrize(
+    "target,terms",
+    [
+        (0.5, (Term(1, 2),)),
+        (True, (Term(1, 2), Term(1, 3), Term(1, 6))),
+        ("1/2", (Term(1, 2),)),
+        (Decimal(1), (Term(1, 2), Term(1, 3), Term(1, 6))),
+        (Fraction(1, 2), [(1, 2)]),
+        (Fraction(1, 2), (Term(1, 4), (1, 4))),
+        (Fraction(1, 2), 5),
+        (Fraction(1, 2), Term(1, 2)),
+    ],
+)
+def test_decomposition_refuses_what_term_refuses(target, terms):
+    # A float, bool, str or Decimal target, terms that are not Terms, or no
+    # iterable at all: each was coerced or failed later with another error.
+    with pytest.raises(ValueError, match="a decomposition's"):
+        Decomposition(target, terms)
 
 
 def test_valid_term_round_trips_unchanged():

@@ -1,17 +1,15 @@
 """Tests for the integer primitives, the verifier's coprime split among them."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 from itertools import takewhile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faithfrac import (
-    is_prime,
-    mod_inverse,
-    next_prime_avoiding,
-)
+from faithfrac import is_prime, mod_inverse
 from faithfrac.verifier import _coprime_split
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 200}
@@ -67,6 +65,25 @@ def test_is_prime(n, expected):
     assert is_prime(n) is expected
 
 
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (is_prime, (7.0,)),
+        (is_prime, (2.5,)),
+        (is_prime, (Fraction(9, 2),)),
+        (is_prime, (Decimal(7),)),
+        (mod_inverse, (2.0, 5)),
+        (mod_inverse, (2, 5.0)),
+        (mod_inverse, (Fraction(2), 5)),
+        (mod_inverse, (2, Decimal(5))),
+    ],
+)
+def test_is_prime_and_mod_inverse_refuse_non_integers(fn, args):
+    # Without the check each of the is_prime calls answers True.
+    with pytest.raises(ValueError, match="needs"):
+        fn(*args)
+
+
 def test_is_prime_matches_trial_division_below_2000():
     def slow(n):
         return n >= 2 and all(n % d for d in range(2, int(math.isqrt(n)) + 1))
@@ -85,54 +102,6 @@ def test_is_prime_matches_trial_division_below_100000():
             primes.append(n)
     assert len(primes) == 9592
     assert not is_prime(0) and not is_prime(1)
-
-
-def successive_primes_avoiding(lower, forbidden, count):
-    """The `count` smallest admissible primes >= lower, one call each."""
-    found = []
-    for _ in range(count):
-        found.append(next_prime_avoiding(lower, forbidden))
-        lower = found[-1] + 1
-    return found
-
-
-@pytest.mark.parametrize(
-    "lower,forbidden,count,expected",
-    [
-        (4, {3}, 2, [5, 7]),
-        (2, set(), 3, [2, 3, 5]),
-        (2, {30}, 3, [7, 11, 13]),
-    ],
-)
-def test_primes_avoiding(lower, forbidden, count, expected):
-    assert successive_primes_avoiding(lower, forbidden, count) == expected
-
-
-def test_next_prime_avoiding_agrees_with_list():
-    assert next_prime_avoiding(4, {3}) == 5
-    assert next_prime_avoiding(2, {30}) == 7
-    assert next_prime_avoiding(14, set()) == 17
-
-
-def test_next_prime_avoiding_rejects_a_zero_forbidden_value():
-    # Every prime divides 0, so the search would never stop.
-    with pytest.raises(ValueError):
-        next_prime_avoiding(2, {0})
-
-
-@given(
-    st.integers(min_value=2, max_value=5000),
-    st.sets(st.integers(min_value=2, max_value=300), max_size=4),
-)
-@settings(**HYP_SETTINGS)
-def test_primes_avoiding_properties(lower, forbidden):
-    p = next_prime_avoiding(lower, forbidden)
-    assert is_prime(p)
-    assert p >= lower
-    # p divides no forbidden element
-    assert all(f % p for f in forbidden)
-    # and it is the first such prime
-    assert all(not is_prime(q) or any(f % q == 0 for f in forbidden) for q in range(lower, p))
 
 
 @pytest.mark.parametrize(

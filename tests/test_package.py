@@ -29,7 +29,7 @@ def fresh(code: str):
 
 def test_package_all_is_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == len(set(names)) == 46
+    assert len(names) == len(set(names)) == 45
     assert set(faithfrac.__all__) == set(names)
 
 
@@ -48,7 +48,7 @@ def test_star_import_binds_exactly_the_package_all():
         "print(json.dumps([sorted(set(ns) - {'__builtins__'}), faithfrac.__all__]))"
     )
     assert bound == public
-    assert len(public) == 46
+    assert len(public) == 45
 
 
 def test_one_public_name_binds_every_name():
@@ -57,7 +57,7 @@ def test_one_public_name_binds_every_name():
         "names = [n for key, m in sys.modules.items() if key.startswith('faithfrac.') for n in m.__all__]\n"
         "print(json.dumps([len(names), sorted(set(names) - set(vars(faithfrac)))]))"
     )
-    assert (count, missing) == (46, [])
+    assert (count, missing) == (45, [])
 
 
 def test_dir_lists_every_public_name_before_first_use():
