@@ -25,10 +25,16 @@ last part; when W stays whole, the usual case for small decompositions,
 _scan sets up that one part and calls it directly, and only a split W
 builds the other parts' solution lists and the loop over shared
 assignments.  verify keeps the colex-minimal point that is neither 0 nor
-m/n (a row's first or second), partial_sums_in_ideal the distinct
-numerators over L; each builds a Fraction only for what it returns.  Every
-check reads the decomposition's structural audit, which is worked out
-once per instance (model.Decomposition).
+m/n (a row's first or second), so each row of the last part comes once
+per combination of the other parts' solutions.  _ideal_nums keeps only
+the distinct numerators over L, so it folds the other parts' numerators
+into one sumset, a set of distinct offsets, and each row comes once per
+offset; the row still counts once per combination, so both refuse the
+same inputs at the same cap.  partial_sums_in_ideal builds a Fraction per
+distinct value, verify one for its violation, and the partition check
+(partition.py) compares the numerators themselves.  Every check reads the
+decomposition's structural audit, which is worked out once per instance
+(model.Decomposition), and refuses a cap that is not an int.
 """
 
 from __future__ import annotations
@@ -81,8 +87,13 @@ class FaithfulnessReport(_Record):
     method: str
 
 
-def _checked(d: Decomposition) -> int:
-    """L = lcm(b_i) of a well-formed d (1 for no terms); ValueError otherwise."""
+def _checked(d: Decomposition, cap: int) -> int:
+    """L = lcm(b_i) of a well-formed d (1 for no terms) checked under an
+    int cap; ValueError otherwise."""
+    # bool is an int subclass, as for a term's parts; every int, even one
+    # below 1, is a cap.
+    if type(cap) is bool or not isinstance(cap, int):
+        raise ValueError("cap must be an integer")
     problems, L = d._audit
     if problems:
         raise ValueError(f"invalid decomposition: {', '.join(problems)}")
@@ -104,7 +115,7 @@ def verify_naive(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport
     smallest x_j (the earliest row among ties) is the colex-minimal one: once
     a row hits at x, the group's later rows scan only x_j < x.
     """
-    L = _checked(d)
+    L = _checked(d, cap)
     m, n = d.target.numerator, d.target.denominator
     bounds = [t.num for t in d.terms]
     total = prod(a + 1 for a in bounds)
@@ -246,16 +257,18 @@ def _plan(W: int, shares: list[int], bounds: list[int]):
     return (shared, plan) if walks < rest else single
 
 
-def _rows(visit, vec, part, W, cap, base=0, sols=(), others=()) -> int:
+def _rows(visit, vec, part, W, cap, base=0, sols=(), others=(), offsets=None) -> int:
     """The rows of a part set up by _scan, with numerators offset by base;
     returns the part's walk (as _plan sized it) plus the combinations
     examined.  The part walks its terms but the widest, k, over their ranges
     and shares.  A row whose numerator is b needs s_k * x_k == -b (mod q)
     for the part q: solvable when g | b, g = gcd(s_k, q), by every
-    x_k == -(b / g) * inv (mod step) below top.  Each row is visited once per
-    combination of the solutions sols of the other parts, written into vec
-    at the terms of their set-ups others; a part of its own (no sols) visits
-    each row once."""
+    x_k == -(b / g) * inv (mod step) below top.  Each row counts once per
+    combination of the solutions sols of the other parts, and is visited
+    once per combination, written into vec at the terms of their set-ups
+    others, or, given offsets, once per offset, the other parts' numerators
+    folded into one set (vec then holds only this part's coefficients).  A
+    part of its own (no sols) visits each row once."""
     (*rest, k), ranges, shares, g, step, inv, top, s_k, walked = part
     # Along a row the numerator steps by step * s_k, which must keep it in (1/n)Z.
     if step * s_k % W:
@@ -276,6 +289,13 @@ def _rows(visit, vec, part, W, cap, base=0, sols=(), others=()) -> int:
                 raise RuntimeError(_OUTSIDE)
             visit(vec, k, cands, b, s_k)
             continue
+        if offsets is not None:
+            for c in offsets:
+                c += b
+                if (c + cands[0] * s_k) % W:
+                    raise RuntimeError(_OUTSIDE)
+                visit(vec, k, cands, c, s_k)
+            continue
         for combo in iproduct(*sols):
             c = b
             for other, (ys, num) in zip(others, combo):
@@ -288,7 +308,7 @@ def _rows(visit, vec, part, W, cap, base=0, sols=(), others=()) -> int:
     return walked  # within cap: the walk was checked up front, and each row as it was added
 
 
-def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
+def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = False) -> int:
     """Walk the in-ideal points of a non-empty decomposition by rows, with
     L = lcm(b_i); returns combos_examined.  Calls visit(vec, k, cands, b, s_k)
     per row: vec holds every coefficient but x_k (one list rewritten in place;
@@ -298,8 +318,9 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
     anything is enumerated.  A single part (W kept whole) goes straight to its
     rows.  Otherwise, under each shared assignment, every part but the last
     lists its solutions (one range for a part of one term), and each row of
-    the last part comes once per combination.  Every walk sums the same
-    numerators over L and reads a part's residues from them."""
+    the last part comes once per combination, or, values_only, once per
+    distinct sum of one solution from each listing.  Every walk sums the
+    same numerators over L and reads a part's residues from them."""
     n = d.target.denominator
     bounds = [t.num for t in d.terms]
     W = L // gcd(L, n)
@@ -356,7 +377,18 @@ def _scan(d: Decomposition, L: int, cap: int, visit) -> int:
                 break
             sols.append(found)
         else:
-            combos += _rows(visit, vec, last, W, cap, base, sols, others)
+            if values_only:
+                # The other parts' numerators as one set of distinct offsets, built
+                # only while their combinations, which each row still counts, are
+                # within the cap: past it the first row with candidates raises.
+                offsets = set()
+                if prod(map(len, sols)) <= cap:
+                    offsets = {0}
+                    for found in sols:
+                        offsets = {o + num for o in offsets for _, num in found}
+                combos += _rows(visit, vec, last, W, cap, base, sols, offsets=offsets)
+            else:
+                combos += _rows(visit, vec, last, W, cap, base, sols, others)
         if combos > cap:
             raise CapExceeded(_OVER.format(cap))
     return combos
@@ -367,7 +399,7 @@ def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     which visits only in-ideal points, a row at a time.  Raises CapExceeded
     at once when a part's walk has more points than cap, and during the walk
     when the combinations it examines pass cap."""
-    L = _checked(d)
+    L = _checked(d, cap)
     if not d.terms:
         return FaithfulnessReport(True, None, 0, "congruence")
     # m/n over L.  The full vector is the lattice's unique maximum, so m/n is
@@ -396,17 +428,25 @@ def verify(d: Decomposition, cap: int = DEFAULT_CAP) -> FaithfulnessReport:
     return FaithfulnessReport(False, violation, combos, "congruence")
 
 
-def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
-    """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included.
+def _ideal_nums(d: Decomposition, L: int, cap: int) -> set[int]:
+    """The distinct numerators over L = lcm(b_i) of the in-ideal lattice
+    values of a d that _checked passed, 0 and m/n included.
 
     Uses the same walk as verify, which visits only the in-ideal points and
     hands them over a row at a time: a row's numerators over L are one range.
+    Where W splits, the other parts' numerators are added as one sumset.
     """
-    L = _checked(d)
     if not d.terms:
-        return frozenset({Fraction(0)})
+        return {0}
     nums: set[int] = set()
     # A one-point row, the common case, is cheaper to add than as a range.
     _scan(d, L, cap, lambda _v, _k, r, b, s: nums.add(b + r[0] * s) if len(r) == 1
-          else nums.update(range(b + r.start * s, b + r.stop * s, r.step * s)))
-    return frozenset(Fraction(num, L) for num in nums)
+          else nums.update(range(b + r.start * s, b + r.stop * s, r.step * s)), values_only=True)
+    return nums
+
+
+def partial_sums_in_ideal(d: Decomposition, cap: int = DEFAULT_CAP) -> frozenset[Fraction]:
+    """Every lattice value sum x_i/b_i that lies in (1/n)Z, 0 and m/n included,
+    one Fraction per distinct numerator from _ideal_nums."""
+    L = _checked(d, cap)
+    return frozenset(Fraction(num, L) for num in _ideal_nums(d, L, cap))

@@ -24,8 +24,12 @@ text: validate on decompositions well formed or not, every constructor
 (general_coprime under both policies, with omegas of up to five members
 and seeds up to 3) over small targets valid or not, all_units_but_one at
 its default term budget and at budgets its heads run past,
-min_length_search over small targets and caps, and
-check_partition_theorem on every partition of m <= 6 over n <= 20.
+min_length_search over small targets and caps,
+check_partition_theorem on every partition of m <= 6 over n <= 20 and on
+the partitions (1,)*e and (2, 1, ...) of up to 12 parts over n <= 13, and
+partial_sums_in_ideal of those many-part blocks combined, at caps on both
+sides of the 2**(e - 1) combinations of the other blocks' solutions and of
+the walk's count.
 
 Both sides then run the argv lists of cli_corpus through faithfrac.cli.main,
 with stdin, stdout and stderr captured, and write one line per call: the
@@ -154,7 +158,27 @@ def api_corpus(cases) -> list[tuple[str, list]]:
               for m in range(1, 7) for parts in partitions(m) for n in range(1, 21)
               if gcd(m, n) == 1 and m < 5 * n for cap in (10_000_000, 50)]
     calls += [("check_partition_theorem", [5, 7, (2, 2), 1000])]
+    # Many parts: every other block lists 2 solutions, and their 2**(e - 1)
+    # combinations a row add up to few distinct sums.
+    many = [(parts, n) for e in range(2, 13) for parts in ((1,) * e, (2, *(1,) * (e - 1)))
+            for n in range(1, 14) if gcd(sum(parts), n) == 1 and sum(parts) < 5 * n]
+    calls += [("check_partition_theorem", [sum(parts), n, parts, cap])
+              for parts, n in many for cap in (10_000_000, 50)]
+    for parts, n in many:
+        pairs, spent = _combined(sum(parts), n, parts)
+        product = 2 ** (len(parts) - 1)
+        calls += [("partial_sums_of", [pairs, cap])
+                  for cap in sorted({product - 1, product + 1, spent - 1, spent, 10_000_000})]
     return calls
+
+
+def _combined(m: int, n: int, parts: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The combined blocks of a partition as pairs, with what verify spends
+    on them, from the working tree."""
+    from faithfrac import decompose_partition, PartitionSpec, verify
+
+    d = decompose_partition(PartitionSpec(m, parts), n).combined
+    return [(t.num, t.den) for t in d.terms], verify(d).combos_examined
 
 
 def cli_corpus() -> list[tuple[list[str], str]]:
@@ -227,6 +251,8 @@ def worker(src: str, cases: str) -> None:
         "min_length_search": lambda m, n, length, den, cap: faithfrac.min_length_search(
             m, n, faithfrac.SearchBudget(length, den, cap)),
         "check_partition_theorem": partition_check,
+        "partial_sums_of": lambda pairs, cap: sums(
+            decomposition(sum(Fraction(a, b) for a, b in pairs), [tuple(p) for p in pairs]), cap),
     }
 
     out = sys.stdout
@@ -317,7 +343,7 @@ def main(argv: list[str]) -> int:
     in_api = sum(library <= i < cli_start for i in diffs)
     print(f"{in_checks} differences in {library} calls on {len(cases)} decompositions")
     print(f"{in_api} differences in {len(api_calls)} calls of validate, the constructors, "
-          "the search and the partition check")
+          "the search, the partition check and the partial sums of its blocks")
     print(f"{len(diffs) - in_checks - in_api} differences in {len(calls)} CLI calls")
     return 1 if diffs else 0
 

@@ -66,7 +66,7 @@ MUTANTS = [
     ("colex visitor reads only a row's first candidate", "verifier.py",
      "            x = cands[1]\n", "            x = cands[0]\n", VERIFIER_TESTS),
     ("partial-sums range steps without * s_k", "verifier.py",
-     "r.step * s)))", "r.step)))", VERIFIER_TESTS),
+     "r.step * s)),", "r.step)),", VERIFIER_TESTS),
     ("row step off by one", "verifier.py",
      "step = q // (g := gcd(shares[k], q))", "step = q // (g := gcd(shares[k], q)) + 1", VERIFIER_TESTS),
     ("one-part entry starts from a nonzero numerator", "verifier.py",
@@ -102,6 +102,16 @@ MUTANTS = [
      "        base = sum(map(mul, digits, shared_shares))\n",
      "        base = sum(map(mul, digits, shared_shares))\n        if not base % W:\n            continue\n",
      VERIFIER_TESTS),
+    # verifier._scan's values-only walk: the other parts' numerators folded
+    # into one set of offsets, each row still counting every combination.
+    ("offsets folded without the shared base", "verifier.py",
+     "base, sols, offsets=offsets)", "0, sols, offsets=offsets)", VERIFIER_TESTS),
+    ("copies taken as the number of distinct offsets", "verifier.py",
+     "base, sols, offsets=offsets)", "base, [offsets], offsets=offsets)", VERIFIER_TESTS),
+    ("offsets built past the cap", "verifier.py",
+     "if prod(map(len, sols)) <= cap:", "if True:", VERIFIER_TESTS),
+    ("cap of any type accepted", "verifier.py",
+     'raise ValueError("cap must be an integer")', "pass", VERIFIER_TESTS),
     ("the plan's cofactors all W", "verifier.py",
      "[W // gcd(s, W) for s in shares]", "[W for s in shares]", VERIFIER_TESTS),
     # verifier._plan's term masks and _bits, which lists a mask's terms.
@@ -132,6 +142,13 @@ MUTANTS = [
     # partition.t_set, the subset sums S is compared against.
     ("subset sums of single parts only", "partition.py",
      "sums |= {s + p for s in sums}", "sums |= {p}", PARTITION_TESTS),
+    # partition.PartitionCheck: S = T compared as numerators over L.
+    ("T scaled by L instead of L // n", "partition.py",
+     "_subset_sums(bd.parts, L // n)", "_subset_sums(bd.parts, L)", PARTITION_TESTS),
+    ("equal compares s_nums with itself", "partition.py",
+     "return self.s_nums == self.t_nums", "return self.s_nums == self.s_nums", PARTITION_TESTS),
+    ("t_set takes parts of any kind", "partition.py",
+     "    _check_parts(parts := tuple(parts))\n", "", PARTITION_TESTS),
     # construct._greedy_head and _progression_tail: the remainder z over den.
     ("head step without a * den", "construct.py",
      "z, den = z * p - a * den, den * p", "z, den = z * p - den, den * p", CONSTRUCT_TESTS),

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faithfrac import (
+    DEFAULT_CAP,
+    PartitionCheck,
     PartitionSpec,
     check_partition_theorem,
     decompose_partition,
@@ -17,6 +19,7 @@ from faithfrac import (
     validate,
     verify,
 )
+from faithfrac.verifier import _scan
 
 HYP_SETTINGS = {"deadline": None, "max_examples": 40}
 
@@ -139,6 +142,43 @@ def test_t_set_matches_its_subset_definition(n):
 def test_t_set_of_many_parts_is_a_set_not_a_subset_walk():
     # 2**40 subsets, but only 41 distinct sums.
     assert t_set((1,) * 40, 41) == {Fraction(s, 41) for s in range(41)}
+
+
+@pytest.mark.parametrize("parts", [(True, 2), (0, 1), (-1, 2), (1.5,), ()])
+def test_t_set_refuses_the_parts_a_spec_refuses(parts):
+    for refused in (lambda: PartitionSpec(int(sum(parts)), parts), lambda: t_set(parts, 3)):
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            refused()
+
+
+@pytest.mark.parametrize("parts,n", [((2, 3), 7), ((1, 2, 3), 7), ((1,) * 5, 6), ((2, 1, 1), 7), ((4,), 9)])
+def test_s_and_t_are_the_sets_of_the_checkers(parts, n):
+    chk = check_partition_theorem(PartitionSpec(sum(parts), parts), n)
+    L = chk.block_decomposition.combined._audit[1]
+    assert chk.s == partial_sums_in_ideal(chk.block_decomposition.combined)
+    assert chk.t == t_set(parts, n)
+    assert chk.s_nums == {s * L for s in chk.s} and chk.t_nums == {t * L for t in chk.t}
+
+
+def test_equal_and_covers_compare_the_two_sets():
+    bd = decompose_partition(PartitionSpec(5, (2, 3)), 7)
+    t = frozenset({0, 40, 60, 100})  # T over L = 140
+    for s, equal, covers in ((t, True, True), (t | {20}, False, True), (t - {40}, False, False)):
+        chk = PartitionCheck(bd, s, t)
+        assert (chk.equal, chk.s_covers_t) == (equal, covers)
+
+
+def test_ones_are_checked_with_one_visit_per_offset():
+    # (1,)*k over k + 1: the combined blocks' walk comes to two rows of the
+    # last block under 2**(k - 1) combinations of the other blocks' solutions,
+    # 8.4 million at k = 23, which add up to k distinct offsets.
+    for k in range(1, 24):
+        chk = check_partition_theorem(PartitionSpec(k, (1,) * k), k + 1)
+        assert chk.equal and chk.t == {Fraction(s, k + 1) for s in range(k + 1)}
+        d = chk.block_decomposition.combined
+        visits = []
+        _scan(d, d._audit[1], DEFAULT_CAP, lambda *row: visits.append(None), values_only=True)
+        assert len(visits) <= 2 * k
 
 
 def test_check_known_partitions():

@@ -24,6 +24,7 @@ from faithfrac import (
     FaithfulnessReport,
     PartitionSpec,
     Violation,
+    check_partition_theorem,
     decompose_partition,
     decomposition,
     general_coprime,
@@ -295,6 +296,77 @@ def test_another_part_past_the_cap_raises_before_its_list_grows(pairs):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, (check.__name__, peak)
+
+
+# Split decompositions whose values-only walk folds the other parts'
+# solutions into one set of offsets, where another part lists two or more:
+# W = 60 splits into 3, 4 and 5, and the parts 3 and 4 list 3 and 2
+# solutions; W = 30 splits into 2, 3 and 5 under the shared term 1/30, and
+# the parts 2 and 3 list 21 and 14; then the combined blocks of partitions
+# into 3 or 4 parts, each block listing 2 solutions, where in three of them
+# 8 combinations add up to only 4 or 5 distinct offsets.
+FOLDED = [
+    [(1, 4), (2, 8), (5, 25), (6, 15)],
+    [(41, 202), (41, 309), (3, 535), (1, 30)],
+    *([(t.num, t.den) for t in decompose_partition(PartitionSpec(m, parts), n).combined.terms]
+      for m, n, parts in [(4, 5, (1, 1, 1, 1)), (4, 7, (2, 1, 1)), (5, 7, (2, 1, 1, 1)),
+                          (6, 7, (2, 2, 1, 1))]),
+]
+
+
+@pytest.mark.parametrize("pairs", FOLDED)
+def test_folded_walk_matches_brute_force(pairs):
+    d = of_pairs(pairs)
+    assert partial_sums_in_ideal(d) == brute_partial_sums(d)
+
+
+def test_folded_walk_counts_every_combination():
+    # (1,)*12 over 13: the last part's two rows each come under 2**11
+    # combinations of the other blocks' solutions, which add up to 12
+    # distinct offsets.  Each row counts every combination, so a cap between
+    # 12 and 2**11 refuses, and the boundary is verify's.
+    d = decompose_partition(PartitionSpec(12, (1,) * 12), 13).combined
+    with pytest.raises(CapExceeded, match="combination evaluations exceeded cap 1000"):
+        partial_sums_in_ideal(d, 1000)
+    spent = verify(d).combos_examined
+    assert spent > 2 * 2**11
+    assert partial_sums_in_ideal(d, spent) == {Fraction(s, 13) for s in range(13)}
+    with pytest.raises(CapExceeded):
+        partial_sums_in_ideal(d, spent - 1)
+
+
+def test_offsets_past_the_cap_are_never_built():
+    # W = 30 splits into 2, 3 and 5 under the shared term 1/30.  The parts 2
+    # and 3 list 201 and 134 solutions, within a cap of 1000, but their
+    # 26,934 combinations add up to 23,834 distinct offsets: a set of about
+    # 1.8 MB, which the walk must not build once the combinations pass the cap.
+    d = of_pairs([(401, 202), (401, 309), (3, 535), (1, 30)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="combination evaluations exceeded cap 1000"):
+            partial_sums_in_ideal(d, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18, peak
+
+
+@pytest.mark.parametrize("cap", [None, "10", True, False, 1.5, 10.0, Fraction(10)])
+def test_checkers_refuse_a_cap_that_is_not_an_int(cap):
+    for check in (verify, verify_naive, partial_sums_in_ideal):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            check(BAD_FIVE_SIXTHS, cap)
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        check_partition_theorem(PartitionSpec(5, (2, 3)), 7, cap)
+
+
+def test_every_int_is_a_cap():
+    # Caps of 0 and below refuse every non-empty check, as CapExceeded.
+    for cap in (0, -1):
+        for check in (verify, verify_naive, partial_sums_in_ideal):
+            with pytest.raises(CapExceeded):
+                check(BAD_FIVE_SIXTHS, cap)
+    assert verify(BAD_FIVE_SIXTHS, 10**30) == verify(BAD_FIVE_SIXTHS)
 
 
 def test_lattice_past_float_range_hits_the_cap():
