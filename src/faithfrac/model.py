@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Any, Iterable, Sequence
@@ -34,6 +33,24 @@ __all__ = [
 # this way they stay in the instance's inline values, which read twice as
 # fast as a __dict__ filled by subscript.
 _setfield = object.__setattr__
+
+
+class _kept:
+    """A value worked out on an instance's first read and kept on the
+    instance, set with _setfield, where later reads find it before this
+    descriptor (which has no __set__).  functools.cached_property does the
+    same but takes a lock on every first read (3.10, 3.11); the values kept
+    here are pure functions of frozen fields, so a race can only store
+    equal values."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        _setfield(obj, self.name, value := self.func(obj))
+        return value
 
 
 class _Record:
@@ -131,12 +148,12 @@ class Decomposition(_Record):
         _setfield(self, "target", target)
         _setfield(self, "terms", terms)
 
-    @cached_property
+    @_kept
     def _audit(self) -> tuple[tuple[str, ...], int]:
         """validate's problems, with the L = lcm(b_i) the sum check clears
         denominators over (1 for no terms), for callers that go on to use L.
-        Worked out on first use and kept in the instance's __dict__, which
-        cached_property writes directly, past the frozen __setattr__."""
+        Worked out on first use and kept in the instance's __dict__ (_kept),
+        past the frozen __setattr__."""
         problems: list[str] = []
         m, n = self.target.numerator, self.target.denominator
         if not self.terms:

@@ -167,7 +167,10 @@ def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
     Found with gcds alone, no factoring: each value splits every factor into
     the part made of primes it shares with the value and the coprime rest,
     about k**2 gcds for k values.  Both halves inherit the factor's mask and
-    only the shared half gains the value's bit.  This is a gcd-free basis of
+    only the shared half gains the value's bit.  The first gcd decides the
+    common pairs: a factor coprime to the value is kept as it is, and one that
+    divides the value is shared whole; only a factor the value really splits
+    runs the loop of further gcds.  This is a gcd-free basis of
     n refined by the values (Bernstein, "Factoring into coprimes in
     essentially linear time", J. Algorithms 2005, gives a faster method for
     large k).
@@ -176,34 +179,35 @@ def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
     for i, v in enumerate(values):
         split = []
         for rest, mask in parts:
-            shared = 1
             g = gcd(rest, v)
-            while g > 1:
-                shared *= g
-                rest //= g
-                g = gcd(rest, g)
-            if shared > 1:
-                split.append((shared, mask | 1 << i))
-            if rest > 1:
+            if g == 1:
                 split.append((rest, mask))
+            elif g == rest:  # the part divides v
+                split.append((rest, mask | 1 << i))
+            else:
+                shared, rest = g, rest // g
+                while (g := gcd(rest, g)) > 1:
+                    shared, rest = shared * g, rest // g
+                split.append((shared, mask | 1 << i))
+                if rest > 1:
+                    split.append((rest, mask))  # the coprime rest
         parts = split
     return sorted(parts)
 
 
 def _bits(mask: int) -> list[int]:
     """The indices of the set bits of mask, in ascending order."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
+    if mask & mask - 1:
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return [mask.bit_length() - 1] if mask else []  # at most one bit
 
 
 def _sized(q: int, ts: list[int], sizes: list[int]) -> tuple[int, list[int], int]:
     """(q, ts, walk) for a part q whose terms ts are listed in ascending
     order: ts is reordered to end with its widest term, k (the lowest index
     among ties), and the walk is the product of the other terms' sizes."""
+    if len(ts) == 1:
+        return q, ts, 1
     k, walk = ts[0], 1
     for i in ts:
         walk *= sizes[i]
@@ -214,14 +218,15 @@ def _sized(q: int, ts: list[int], sizes: list[int]) -> tuple[int, list[int], int
     return q, ts, walk // sizes[k]
 
 
-def _plan(W: int, shares: list[int], bounds: list[int]):
+def _plan(W: int, shares: list[int], sizes: list[int]):
     """Split W into coprime parts: (shared terms, [(part, its terms, its walk)]).
 
     A term belongs to each part that does not divide its share L / b_i, so
     the set bits of a part's mask list its terms.  Reading the masks in
     turn, `once` collects the terms of some part and `twice` those of two
     or more.  A part with a term of its own (mask & ~twice) is kept; every
-    kept part but the last, `ahead`, walks its own terms.  The last part is
+    kept part but the last, the parts ahead, walks its own terms.  The last
+    part, W // `ahead` where `ahead` is the product of the parts ahead, is
     the product of every part not ahead, and takes every term outside
     `lead`, the union of the masks ahead (the terms of no part among them).
     The terms of `lead` in `twice` are shared: they are enumerated, and
@@ -231,7 +236,6 @@ def _plan(W: int, shares: list[int], bounds: list[int]):
     lattice it could shrink, when no part has a term of its own, or when
     the split is no cheaper.
     """
-    sizes = [a + 1 for a in bounds]
     whole = _sized(W, [*range(len(sizes))], sizes)
     rest, single = whole[2], ([], [whole])
     if W == 1 or rest <= len(sizes) ** 2:
@@ -243,17 +247,17 @@ def _plan(W: int, shares: list[int], bounds: list[int]):
     for _, mask in split:
         twice |= once & mask
         once |= mask
-    kept = [(q, mask) for q, mask in split if mask & ~twice]
+    kept = [p for p in split if p[1] & ~twice]
     if not kept:
         return single
-    ahead, lead = kept[:-1], 0
-    for _, mask in ahead:
-        lead |= mask
+    plan, ahead, lead, walks = [], 1, 0, 0
+    for q, mask in kept[:-1]:
+        plan.append(part := _sized(q, _bits(mask & ~twice), sizes))
+        ahead, lead, walks = ahead * q, lead | mask, walks + part[2]
+    plan.append(part := _sized(W // ahead, _bits((1 << len(sizes)) - 1 & ~lead), sizes))
     shared = _bits(lead & twice)
-    plan = [_sized(q, _bits(mask & ~twice), sizes) for q, mask in ahead]
-    plan.append(_sized(W // prod(q for q, _ in ahead), _bits((1 << len(sizes)) - 1 & ~lead), sizes))
     # Every shared assignment walks every part again.
-    walks = sum(walk for *_, walk in plan) * prod([sizes[i] for i in shared])
+    walks = (walks + part[2]) * prod([sizes[i] for i in shared])
     return (shared, plan) if walks < rest else single
 
 
@@ -321,13 +325,12 @@ def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = Fals
     the last part comes once per combination, or, values_only, once per
     distinct sum of one solution from each listing.  Every walk sums the
     same numerators over L and reads a part's residues from them."""
-    n = d.target.denominator
-    bounds = [t.num for t in d.terms]
-    W = L // gcd(L, n)
+    sizes = [t.num + 1 for t in d.terms]
+    W = L // gcd(L, d.target.denominator)
     # A point's value is sum(x_i * shares[i]) / L, exact in integers; it is
     # in (1/n)Z exactly when that sum is 0 (mod W).
     shares = [L // t.den for t in d.terms]
-    shared, plan = _plan(W, shares, bounds)
+    shared, plan = _plan(W, shares, sizes)
     # One set-up per part: (its terms with the widest, k, last; the ranges and
     # shares of the rest; g, step, inv, top, s_k; the walk's size).
     setups = []
@@ -339,22 +342,24 @@ def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = Fals
         # b // g modulo step = q // g: rows are solved from b itself.
         step = q // (g := gcd(shares[k], q))
         inv = pow(shares[k] // g, -1, step) if step > 1 else 0  # coprime to step
-        setups.append((ts, [range(bounds[i] + 1) for i in rest], [shares[i] for i in rest], g, step,
-                       inv, bounds[k] + 1, shares[k], walk))
+        # A one-term part's empty rest stands for its ranges and shares.
+        setups.append((ts, rest and [range(sizes[i]) for i in rest], rest and [shares[i] for i in rest],
+                       g, step, inv, sizes[k], shares[k], walk))
     # The loop ends on the last part, whose rows are walked; the others are kept
     # as their solutions list them.
     *others, last = setups
-    vec = [0] * len(bounds)
+    vec = [0] * len(sizes)
     if not others:
         return _rows(visit, vec, last, W, cap)
     shared_shares = [shares[i] for i in shared]
     combos = 0
-    for digits in iproduct(*[range(bounds[i] + 1) for i in shared]):
+    for digits in iproduct(*[range(sizes[i]) for i in shared]):
         combos += 1
         for i, x in zip(shared, digits):
             vec[i] = x
         base = sum(map(mul, digits, shared_shares))
-        # Each other part's solutions as (coefficients, numerator over L).
+        # Each other part's solutions as (coefficients, numerator over L), or,
+        # values_only, as bare numerators.
         sols = []
         for _, ranges_j, shares_j, g_j, step_j, inv_j, top_j, s_j, walk_j in others:
             # Each range of x_k is checked against the cap before the list grows.
@@ -362,7 +367,7 @@ def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = Fals
                 xks = () if base % g_j else range(-(base // g_j) * inv_j % step_j, top_j, step_j)
                 if walk_j + len(xks) > cap:
                     raise CapExceeded(_OVER.format(cap))
-                found = [((x,), x * s_j) for x in xks]
+                found = [x * s_j for x in xks] if values_only else [((x,), x * s_j) for x in xks]
             else:
                 found = []
                 for xs in iproduct(*ranges_j):
@@ -371,7 +376,8 @@ def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = Fals
                         xks = range(-(r // g_j) * inv_j % step_j, top_j, step_j)
                         if walk_j + len(found) + len(xks) > cap:
                             raise CapExceeded(_OVER.format(cap))
-                        found += [((*xs, x), num + x * s_j) for x in xks]
+                        found += ([num + x * s_j for x in xks] if values_only else
+                                  [((*xs, x), num + x * s_j) for x in xks])
             combos += walk_j + len(found)
             if not found:
                 break
@@ -385,7 +391,7 @@ def _scan(d: Decomposition, L: int, cap: int, visit, *, values_only: bool = Fals
                 if prod(map(len, sols)) <= cap:
                     offsets = {0}
                     for found in sols:
-                        offsets = {o + num for o in offsets for _, num in found}
+                        offsets = {o + num for o in offsets for num in found}
                 combos += _rows(visit, vec, last, W, cap, base, sols, offsets=offsets)
             else:
                 combos += _rows(visit, vec, last, W, cap, base, sols, others)

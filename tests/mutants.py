@@ -98,6 +98,8 @@ MUTANTS = [
      "combos += walk_j + len(found)\n", "combos += len(found)\n", VERIFIER_TESTS),
     ("another part's numerator dropped", "verifier.py",
      "((*xs, x), num + x * s_j)", "((*xs, x), x * s_j)", VERIFIER_TESTS),
+    ("another part's bare numerator dropped", "verifier.py",
+     "[num + x * s_j for x in xks]", "[x * s_j for x in xks]", VERIFIER_TESTS),
     ("residue-0 shared assignments dropped", "verifier.py",
      "        base = sum(map(mul, digits, shared_shares))\n",
      "        base = sum(map(mul, digits, shared_shares))\n        if not base % W:\n            continue\n",
@@ -118,9 +120,13 @@ MUTANTS = [
     ("terms of no part dropped", "verifier.py",
      "_bits((1 << len(sizes)) - 1 & ~lead)", "_bits(once & ~lead)", VERIFIER_TESTS),
     ("parts with no term of their own kept apart", "verifier.py",
-     "_sized(W // prod(q for q, _ in ahead),", "_sized(kept[-1][0],", VERIFIER_TESTS),
+     "_sized(W // ahead,", "_sized(kept[-1][0],", VERIFIER_TESTS),
     ("term owners read one bit off", "verifier.py",
-     "bits.append(low.bit_length() - 1)", "bits.append(low.bit_length() - 2)", VERIFIER_TESTS),
+     "[i for i in range(mask.bit_length())", "[i - 1 for i in range(mask.bit_length())", VERIFIER_TESTS),
+    ("_bits's one-bit answer off by one", "verifier.py",
+     "return [mask.bit_length() - 1] if mask", "return [mask.bit_length()] if mask", VERIFIER_TESTS),
+    ("a one-term _sized walk of 0", "verifier.py",
+     "        return q, ts, 1\n", "        return q, ts, 0\n", VERIFIER_TESTS),
     ("every term counted twice", "verifier.py",
      "twice |= once & mask", "twice |= mask", VERIFIER_TESTS),
     ("own terms read as the whole mask", "verifier.py",
@@ -138,7 +144,12 @@ MUTANTS = [
     ("split's shared half without the value's bit", "verifier.py",
      "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
     ("split's rest half with the value's bit", "verifier.py",
-     "split.append((rest, mask))", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
+     "split.append((rest, mask))  # the coprime rest", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
+    ("the coprime shortcut with the value's bit", "verifier.py",
+     "if g == 1:\n                split.append((rest, mask))", "if g == 1:\n                split.append((rest, mask | 1 << i))",
+     VERIFIER_TESTS),
+    ("the multiple-of-part shortcut without the value's bit", "verifier.py",
+     "split.append((rest, mask | 1 << i))", "split.append((rest, mask))", VERIFIER_TESTS),
     # partition.t_set, the subset sums S is compared against.
     ("subset sums of single parts only", "partition.py",
      "sums |= {s + p for s in sums}", "sums |= {p}", PARTITION_TESTS),
@@ -187,6 +198,9 @@ MUTANTS = [
     ("oracle rows cut by one vector", "verifier.py",
      "range(base, base + span, step)", "range(base, base + span - step, step)", VERIFIER_TESTS),
     # model: the audit kept per instance, coercion, term parts.
+    ("the audit worked out again on every read", "model.py",
+     "        _setfield(obj, self.name, value := self.func(obj))\n", "        value = self.func(obj)\n",
+     MODEL_TESTS),
     ("validate hands out the kept problems themselves", "model.py",
      "return list(d._audit[0])", "return d._audit[0]", MODEL_TESTS),
     ("coercion skipped for an int target", "model.py",

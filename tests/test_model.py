@@ -138,6 +138,14 @@ def test_the_kept_audit_leaves_equality_hash_repr_and_pickle_unchanged():
         assert validate(back) == [] and verify(back) == verify(d)
 
 
+def test_the_audit_read_from_the_class_is_its_descriptor():
+    # As with a property, reading the class gives the descriptor, whose
+    # docstring is the audit's, and fills no instance.
+    kept = Decomposition._audit
+    assert kept is vars(Decomposition)["_audit"]
+    assert "lcm" in kept.__doc__
+
+
 # Every record class with field values its __init__ accepts.
 HALF = Decomposition(Fraction(1, 2), (Term(1, 2),))
 RECORDS = [

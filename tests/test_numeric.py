@@ -114,6 +114,12 @@ def test_is_prime_matches_trial_division_below_100000():
         (1, [3], []),
         (2 * 3 * 5 * 7, [10, 21], [(2 * 5, 0b01), (3 * 7, 0b10)]),
         (77, [91], [(7, 1), (11, 0)]),
+        # A value equal to n: every part divides it and is shared whole.
+        (2 * 3 * 5 * 7, [10, 210], [(2 * 5, 0b11), (3 * 7, 0b10)]),
+        # A value that is a multiple of one part and coprime to another.
+        (15, [3, 6], [(3, 0b11), (5, 0b00)]),
+        # A value coprime to every part.
+        (2 * 3 * 5 * 7, [10, 11], [(2 * 5, 0b01), (3 * 7, 0b00)]),
     ],
 )
 def test_coprime_parts_examples(n, values, expected):
