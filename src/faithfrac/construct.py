@@ -107,7 +107,7 @@ def two_term(m: int, n: int) -> Built:
         raise ValueError("two_term needs a proper fraction m/n < 1")
     if m == 1:
         raise ValueError("a unit fraction has no two-term split (x would be 0)")
-    tail, pair, _ = _progression_tail(m, n, (), 0)
+    tail, pair, _ = _progression_tail(m, n, 1, 0)
     return Built(_settle(decomposition(value, tail)), ConstructionTrace(bezout=pair))
 
 
@@ -164,14 +164,16 @@ def _greedy_head(
 
 
 def _progression_tail(
-    z: int, nb: int, omega: Iterable[int], a0_start: int
+    z: int, nb: int, avoid: int, a0_start: int
 ) -> tuple[list[tuple[int, int]], BezoutPair, int]:
     """Turn the remainder z/nb, with nb = n*prod, into x/b + 1/(nb*b).
 
-    b walks the progression y0 + a0*nb until it is coprime to omega, which
-    one gcd against the product of omega tests; it is automatically coprime
-    to nb, so to n and the primes already used.  Returns the two closing
-    terms, the Bezout pair (x0, y0) and the steps a0 taken.
+    b walks the progression y0 + a0*nb from a0 = a0_start until one gcd
+    finds it coprime to avoid, the product of the forbidden values (1 when
+    nothing is forbidden; a factor of nb changes nothing).  b is
+    automatically coprime to nb, so to n and the primes already used.
+    Returns the two closing terms, the Bezout pair (x0, y0) and the steps a0
+    taken.
     """
     if z < 1 or gcd(z, nb) != 1:
         raise RuntimeError("remainder numerator shares a factor with its modulus")
@@ -181,7 +183,6 @@ def _progression_tail(
         y0 += nb
         x0 += z
     a0 = a0_start
-    avoid = prod(omega)
     while gcd(b_last := y0 + a0 * nb, avoid) != 1:
         a0 += 1
     x = x0 + a0 * z
@@ -195,6 +196,25 @@ def _settle_coprime(value: Fraction, terms: list[tuple[int, int]]) -> Decomposit
     if not coprime_shape(d):
         raise RuntimeError("construction lost the coprime certificate shape")
     return d
+
+
+def _coprime_block(
+    value: Fraction, policy: str, avoid: int, seed: int, max_terms: int
+) -> tuple[Decomposition, list[int], BezoutPair, int]:
+    """general_coprime's construction on checked arguments: value is m/n in
+    lowest terms and avoid is n times the product of the forbidden values.
+
+    Returns the settled decomposition, which carries the coprime shape, with
+    the primes its head took, the Bezout pair and the progression steps.
+    """
+    m, n = value.numerator, value.denominator
+    # A prime avoids n and omega exactly when it does not divide avoid.
+    # Skipping the first seed of them makes distinct seeds land on distinct
+    # decompositions.
+    admissible = lambda: islice(_primes_avoiding(2, avoid), seed, None)
+    head, primes, z, den = _greedy_head(m, n, policy, admissible, max_terms)
+    tail, pair, a0 = _progression_tail(z, den, avoid, seed if not primes else 0)
+    return _settle_coprime(value, head + tail), primes, pair, a0
 
 
 def general_coprime(
@@ -225,13 +245,9 @@ def general_coprime(
         max_terms = UNIT_HEAD_MAX_TERMS
     elif type(max_terms) is bool or not isinstance(max_terms, int) or max_terms < 0:
         raise ValueError("max_terms must be a nonnegative integer")
-    # A prime avoids n and omega exactly when it does not divide their
-    # product.  Skipping the first seed of them makes distinct seeds land on
-    # distinct decompositions.
-    admissible = lambda: islice(_primes_avoiding(2, n * prod(omega_set)), seed, None)
-    head, primes, z, den = _greedy_head(m, n, numerator_policy, admissible, max_terms)
-    a0_start = seed if not primes else 0
-    tail, pair, a0 = _progression_tail(z, den, omega_set, a0_start)
+    d, primes, pair, a0 = _coprime_block(
+        value, numerator_policy, n * prod(omega_set), seed, max_terms
+    )
     trace = ConstructionTrace(
         primes_used=tuple(primes),
         bezout=pair,
@@ -239,7 +255,7 @@ def general_coprime(
         branch=numerator_policy,
         avoided=tuple(sorted(omega_set)),
     )
-    return Built(_settle_coprime(value, head + tail), trace)
+    return Built(d, trace)
 
 
 def all_units_but_one(
@@ -274,7 +290,7 @@ def theorem1(m: int, n: int) -> Built:
     )
     if len(primes) != t:
         raise RuntimeError("prime bound failed to control the remainder")
-    tail, pair, _ = _progression_tail(z, den, (), 0)
+    tail, pair, _ = _progression_tail(z, den, 1, 0)
     trace = ConstructionTrace(primes_used=tuple(primes), bezout=pair)
     return Built(_settle_coprime(value, head + tail), trace)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .construct import general_coprime
+from .construct import UNIT_HEAD_MAX_TERMS, _coprime_block
 from .model import Decomposition, _Record, _setfield, validate
 from .verifier import DEFAULT_CAP, _checked, _ideal_nums
 
@@ -64,23 +64,26 @@ class BlockDecomposition(_Record):
 def decompose_partition(spec: PartitionSpec, n: int) -> BlockDecomposition:
     """Build one faithful block per part, all denominator pools coprime.
 
-    Parts are processed in non-decreasing order; each block forbids n and
-    every denominator already used.  Blocks whose reduced target reaches 2
-    switch to the max numerator policy, whose near-one terms keep the block
-    short; smaller targets use unit fractions.
+    Parts are processed in non-decreasing order; each block is
+    general_coprime's construction of part/n, seed 0, forbidding n and every
+    denominator already used.  Blocks whose reduced target reaches 2 switch
+    to the max numerator policy, whose near-one terms keep the block short;
+    smaller targets use unit fractions.  Each block is validated and checked
+    for the coprime shape as it is built, and builds no trace.
     """
     if type(n) is bool or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if gcd(spec.m, n) != 1:
         raise ValueError(f"{spec.m} and {n} must be coprime")
-    omega: set[int] = {n}
+    avoid = n
     blocks: list[Decomposition] = []
     for part in sorted(spec.parts):
-        g = gcd(part, n)
         policy = "max" if part >= 2 * n else "unit"
-        built = general_coprime(part // g, n // g, policy, omega)
-        blocks.append(built.decomposition)
-        omega.update(built.decomposition.denominators)
+        d = _coprime_block(Fraction(part, n), policy, avoid, 0, UNIT_HEAD_MAX_TERMS)[0]
+        blocks.append(d)
+        # The coprime shape makes a block's closer its reduced n times its
+        # other denominators, so the closer carries every prime the block used.
+        avoid *= d.terms[-1].den
     combined = Decomposition(
         Fraction(spec.m, n), tuple(t for b in blocks for t in b.terms)
     )

@@ -177,18 +177,19 @@ def _coprime_split(n: int, values: list[int]) -> list[tuple[int, int]]:
     """
     parts = [(n, 0)] if n > 1 else []
     for i, v in enumerate(values):
-        split = []
-        for rest, mask in parts:
+        bit, split = 1 << i, []
+        for part in parts:
+            rest, mask = part
             g = gcd(rest, v)
             if g == 1:
-                split.append((rest, mask))
+                split.append(part)
             elif g == rest:  # the part divides v
-                split.append((rest, mask | 1 << i))
+                split.append((rest, mask | bit))
             else:
                 shared, rest = g, rest // g
                 while (g := gcd(rest, g)) > 1:
                     shared, rest = shared * g, rest // g
-                split.append((shared, mask | 1 << i))
+                split.append((shared, mask | bit))
                 if rest > 1:
                     split.append((rest, mask))  # the coprime rest
         parts = split

@@ -142,14 +142,13 @@ MUTANTS = [
      "if walk_j + len(xks) > cap:", "if walk_j > cap:", VERIFIER_TESTS),
     # verifier._coprime_split's owner masks, which _plan reads.
     ("split's shared half without the value's bit", "verifier.py",
-     "split.append((shared, mask | 1 << i))", "split.append((shared, mask))", VERIFIER_TESTS),
+     "split.append((shared, mask | bit))", "split.append((shared, mask))", VERIFIER_TESTS),
     ("split's rest half with the value's bit", "verifier.py",
-     "split.append((rest, mask))  # the coprime rest", "split.append((rest, mask | 1 << i))", VERIFIER_TESTS),
+     "split.append((rest, mask))  # the coprime rest", "split.append((rest, mask | bit))", VERIFIER_TESTS),
     ("the coprime shortcut with the value's bit", "verifier.py",
-     "if g == 1:\n                split.append((rest, mask))", "if g == 1:\n                split.append((rest, mask | 1 << i))",
-     VERIFIER_TESTS),
+     "split.append(part)", "split.append((rest, mask | bit))", VERIFIER_TESTS),
     ("the multiple-of-part shortcut without the value's bit", "verifier.py",
-     "split.append((rest, mask | 1 << i))", "split.append((rest, mask))", VERIFIER_TESTS),
+     "split.append((rest, mask | bit))", "split.append((rest, mask))", VERIFIER_TESTS),
     # partition.t_set, the subset sums S is compared against.
     ("subset sums of single parts only", "partition.py",
      "sums |= {s + p for s in sums}", "sums |= {p}", PARTITION_TESTS),
@@ -176,8 +175,13 @@ MUTANTS = [
      "if is_prime(p) and avoid % p)", "if is_prime(p))", CONSTRUCT_TESTS),
     ("theorem1's stream starts one past its bound", "construct.py",
      "_primes_avoiding(start, n)", "_primes_avoiding(start + 1, n)", CONSTRUCT_TESTS),
-    ("progression gcd against the first omega member only", "construct.py",
-     "avoid = prod(omega)", "avoid = next(iter(omega), 1)", CONSTRUCT_TESTS),
+    ("progression gcd against n alone, not the forbidden values", "construct.py",
+     "_progression_tail(z, den, avoid,", "_progression_tail(z, den, n,", CONSTRUCT_TESTS),
+    # The forbidden values each block or construction hands the core.
+    ("general_coprime's avoid leaves out omega", "construct.py",
+     "numerator_policy, n * prod(omega_set), seed", "numerator_policy, n, seed", CONSTRUCT_TESTS),
+    ("running product leaves out the new block's denominators", "partition.py",
+     "        avoid *= d.terms[-1].den\n", "", PARTITION_TESTS),
     # construct.general_coprime's head budget.
     ("max head left without a budget", "construct.py",
      "    if max_terms is None:\n", "    if max_terms is None and numerator_policy == \"unit\":\n",
@@ -252,7 +256,7 @@ MUTANTS = [
     ("bool accepted by prop6_condition", "construct.py",
      "if type(v) is bool or not", "if not", PROP6_TESTS),
     ("bool accepted as a partition's n", "partition.py",
-     'unit fractions.\n    """\n    if type(n) is bool or not', 'unit fractions.\n    """\n    if not',
+     'no trace.\n    """\n    if type(n) is bool or not', 'no trace.\n    """\n    if not',
      PARTITION_TESTS),
     ("bool accepted as the n of t_set", "partition.py",
      'once each.\n    """\n    if type(n) is bool or not', 'once each.\n    """\n    if not', PARTITION_TESTS),

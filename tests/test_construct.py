@@ -166,6 +166,18 @@ def _two_term_grid():
     return [(m, n) for n in range(3, 400) for m in range(2, n) if gcd(m, n) == 1]
 
 
+# Forbidden sets of 0 to 5 members: primes, prime powers, products, and
+# values that share factors with n.
+GENERAL_COPRIME_OMEGAS = [(), (2,), (3, 5), (2, 9, 7), (4, 6, 11, 25), (5, 10, 13, 21, 35)]
+
+
+def _general_coprime_grid():
+    return [(m, n, policy, omega, seed)
+            for n in range(1, 13) for m in range(1, 2 * n) if gcd(m, n) == 1
+            for policy in ("unit", "max") for omega in GENERAL_COPRIME_OMEGAS
+            for seed in range(3)]
+
+
 @pytest.mark.parametrize(
     "build, grid, count, digest",
     [
@@ -173,17 +185,20 @@ def _two_term_grid():
          "c0dde96fa7940f036ef5b95f46e8ee5476d1a1a6a61c1716409d0dd3f0414fa8"),
         (two_term, _two_term_grid, 48119,
          "36c581676c2b4cbd7dce3567f4fb535952bdae75abb4281a50e61872b94d5f18"),
+        (general_coprime, _general_coprime_grid, 3276,
+         "06fc284f818469fd673301b9b227a074645e34eb0b123d59bb4adb5f20a6aa69"),
     ],
-    ids=["theorem1", "two_term"],
+    ids=["theorem1", "two_term", "general_coprime"],
 )
 def test_constructor_outputs_are_pinned(build, grid, count, digest):
     # sha256 of to_json(d) + repr(trace) over the grid, in order: a change to
-    # prime selection or to the Bezout closing pair fails here loudly.
+    # prime selection, to the Bezout closing pair or to the forbidden values
+    # a trace records fails here loudly.
     cases = grid()
     assert len(cases) == count
     h = hashlib.sha256()
-    for m, n in cases:
-        built = build(m, n)
+    for args in cases:
+        built = build(*args)
         h.update((to_json(built.decomposition) + repr(built.trace)).encode())
     assert h.hexdigest() == digest
 

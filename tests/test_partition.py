@@ -1,5 +1,6 @@
 """Per-part block construction and the subset-sum identity S = T."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -16,6 +17,7 @@ from faithfrac import (
     decompose_partition,
     partial_sums_in_ideal,
     t_set,
+    to_json,
     validate,
     verify,
 )
@@ -179,6 +181,25 @@ def test_ones_are_checked_with_one_visit_per_offset():
         visits = []
         _scan(d, d._audit[1], DEFAULT_CAP, lambda *row: visits.append(None), values_only=True)
         assert len(visits) <= 2 * k
+
+
+def test_blocks_are_pinned():
+    # sha256 of each block's to_json and then the combined decomposition's,
+    # over every partition of m <= 7 over coprime n <= 24, in order: a change
+    # to a block's policy, its forbidden values or its construction fails here.
+    h = hashlib.sha256()
+    calls = 0
+    for n in range(1, 25):
+        for m in range(1, 8):
+            if gcd(m, n) != 1:
+                continue
+            for parts in _partitions(m):
+                bd = decompose_partition(PartitionSpec(m, parts), n)
+                for d in (*bd.blocks, bd.combined):
+                    h.update(to_json(d).encode())
+                calls += 1
+    assert calls == 699
+    assert h.hexdigest() == "a01ca5a7df53f156a64f230da613c872d97c18ad20b074ae29fdec57186ba24c"
 
 
 def test_check_known_partitions():
